@@ -221,35 +221,57 @@ func TestEmptyPartyWeightingNoNaN(t *testing.T) {
 	}
 }
 
-// TestSimulationChunkedBitIdentical runs the same federation with
-// whole-update and chunked in-process delivery and demands bitwise equal
-// results: chunking must change memory behaviour only, never arithmetic.
+// wholeTransport is Simulation's transport with whole-update delivery:
+// every sampled client trains through LocalTrain (TrainStream's copy-out)
+// and the sink folds the whole update through RoundSink.Deliver, as a
+// custom Transport built on LocalTrain does. Clients train one at a
+// time; compute budgets change scheduling, never arithmetic.
+type wholeTransport struct{ *Simulation }
+
+func (w wholeTransport) TrainRound(round int, sampled []int, global, control []float64, sink *RoundSink) error {
+	for _, id := range sampled {
+		if err := sink.Deliver(w.Clients[id].LocalTrain(global, control, w.Cfg)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestSimulationChunkedBitIdentical pins the Simulation's chunk-stream
+// delivery bitwise against whole-update delivery through
+// RoundSink.Deliver, for all six algorithms, at ChunkSize 0 (each vector
+// one chunk) and at a small size misaligned with every vector length:
+// framing must change memory behaviour only, never arithmetic.
 func TestSimulationChunkedBitIdentical(t *testing.T) {
-	for _, alg := range []Algorithm{FedAvg, FedNova, Scaffold} {
+	for _, alg := range ExtendedAlgorithms() {
 		cfg := quickCfg(alg)
 		cfg.Rounds = 2
-		whole, err := buildSim(t, cfg).Run()
+		ref := buildSim(t, cfg)
+		whole, err := ref.engine.Run(wholeTransport{ref})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfgChunked := cfg
-		cfgChunked.ChunkSize = 97 // deliberately misaligned with the state length
-		chunked, err := buildSim(t, cfgChunked).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(whole.FinalState) != len(chunked.FinalState) {
-			t.Fatalf("%s: state length %d vs %d", alg, len(whole.FinalState), len(chunked.FinalState))
-		}
-		for i := range whole.FinalState {
-			if whole.FinalState[i] != chunked.FinalState[i] {
-				t.Fatalf("%s: state[%d] whole %v vs chunked %v", alg, i, whole.FinalState[i], chunked.FinalState[i])
+		for _, chunk := range []int{0, 7} {
+			c := cfg
+			c.ChunkSize = chunk
+			got, err := buildSim(t, c).Run()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for r := range whole.Curve {
-			if whole.Curve[r].TrainLoss != chunked.Curve[r].TrainLoss ||
-				whole.Curve[r].TestAccuracy != chunked.Curve[r].TestAccuracy {
-				t.Fatalf("%s round %d: metrics diverged", alg, r)
+			if len(whole.FinalState) != len(got.FinalState) {
+				t.Fatalf("%s chunk=%d: state length %d vs %d", alg, chunk, len(whole.FinalState), len(got.FinalState))
+			}
+			for i := range whole.FinalState {
+				if math.Float64bits(whole.FinalState[i]) != math.Float64bits(got.FinalState[i]) {
+					t.Fatalf("%s chunk=%d: state[%d] whole %v vs chunked %v", alg, chunk, i, whole.FinalState[i], got.FinalState[i])
+				}
+			}
+			for r := range whole.Curve {
+				if whole.Curve[r].TrainLoss != got.Curve[r].TrainLoss ||
+					whole.Curve[r].TestAccuracy != got.Curve[r].TestAccuracy ||
+					whole.Curve[r].CommBytes != got.Curve[r].CommBytes {
+					t.Fatalf("%s chunk=%d round %d: metrics diverged", alg, chunk, r)
+				}
 			}
 		}
 	}

@@ -164,25 +164,24 @@ type Config struct {
 	// magnitude parameter-delta entries per upload (top-k gradient
 	// compression). 0 disables compression.
 	CompressTopK float64
-	// ChunkSize, when positive, streams model state in frames of at most
-	// this many float64 elements instead of as one state-length vector —
-	// in both directions over the simnet transports: client updates into
-	// the server's accumulator, and the server's round broadcast down to
-	// the parties. The arithmetic is bit-identical either way; what
-	// changes is peak memory: the server holds O(state +
-	// clients*ChunkSize) instead of O(clients*state) with many updates in
-	// flight, and a party reassembles the broadcast into one reused
-	// buffer instead of holding a transient serialized copy. 0 keeps
-	// whole-message delivery. Over the simnet transports the server's
-	// value is authoritative — it rides each round's broadcast, so
-	// parties follow the server's setting.
+	// ChunkSize is the frame size, in float64 elements, of the chunk
+	// streams every round moves state through — client updates into the
+	// server's accumulator and, over the simnet transports, the server's
+	// round broadcast down to the parties. 0 frames each vector (state,
+	// SCAFFOLD control) as a single chunk. The arithmetic is bit-identical
+	// at any size; what changes is peak memory: with a positive size the
+	// server holds O(state + clients*ChunkSize) of frames in flight
+	// instead of O(clients*state). Over the simnet transports the
+	// server's value is authoritative — it rides each round's broadcast,
+	// so parties follow the server's setting.
 	ChunkSize int
 	// ChunkWindow bounds how many decoded-but-unfolded chunk frames the
 	// simnet server buffers per connection before backpressure stops
 	// reading that conn: higher windows smooth bursty links at
 	// O(sampled*ChunkWindow*ChunkSize) extra transient memory, window 1
 	// folds in lockstep with arrival. 0 means the default of 4; negative
-	// values are rejected. Ignored when ChunkSize is 0.
+	// values are rejected. At ChunkSize 0 a frame is a whole vector, so a
+	// stream never has more frames in flight than it has vectors.
 	ChunkWindow int
 	// AsyncBuffer, when positive, switches the simnet transports from
 	// lockstep rounds to buffered-asynchronous aggregation: the server
@@ -201,7 +200,8 @@ type Config struct {
 	// transports (default CodecF64, the raw lossless wire). Quantized
 	// codecs require ChunkSize > 0 — the chunk frame is the compression
 	// unit — and are negotiated per party at the hello with raw float64
-	// as the fallback toward older peers. See the Codec type.
+	// as the fallback toward peers that cannot decode them. See the Codec
+	// type.
 	Codec Codec
 	// AsyncFairShare caps how many of one generation's AsyncBuffer folds
 	// a single party may contribute (default 1), so a fast party's
@@ -219,7 +219,7 @@ type Config struct {
 	// suppress stale updates harder. Ignored when AsyncBuffer is 0.
 	StalenessExponent float64
 	// FoldAhead bounds how many completed reply streams the synchronous
-	// chunked fold may stage ahead of the in-order fold cursor. The fold
+	// simnet fold may stage ahead of the in-order fold cursor. The fold
 	// order (and therefore the result) is unchanged — bitwise identical
 	// for any value — but parties within the horizon drain their streams
 	// concurrently instead of serially behind a straggler, at

@@ -26,12 +26,12 @@ import (
 //     the resync round stamp current, and watches liveness.
 //
 // The wire protocol is untouched: generations ride the existing Round
-// fields of GlobalMsg/GlobalChunkMsg/UpdateMsg/UpdateChunkMsg, so a
-// ProtoVersion-2 party federates in async mode unchanged. Unlike the
-// synchronous path, broadcast frames are always serialized — the pipes'
-// GlobalRefMsg interning slot is single-generation and lockstep, which
-// async is not — and the encode happens once per generation, shared by
-// every sender (the encode-once cache the sync broadcast uses).
+// fields of the chunk frames, so a party federates in async mode
+// unchanged. Unlike the synchronous path, broadcast frames are always
+// serialized — the pipes' GlobalRefMsg interning slot is
+// single-generation and lockstep, which async is not — and the encode
+// happens once per generation, shared by every sender (the encode-once
+// cache the sync broadcast uses).
 
 // asyncHub publishes the newest generation's encode-once frame cache to
 // the sender goroutines. Senders wait for a generation newer than the
@@ -100,7 +100,7 @@ func (h *asyncHub) waitNewer(sent int) (gen int, bf *globalFrames, ok bool) {
 // copies); the frame sets encode lazily, per codec, on first use.
 func newGlobalGen(gen int, state, control []float64, budget, chunk int) *globalFrames {
 	gm := GlobalMsg{Round: gen, State: state, Control: control, Budget: budget, Chunk: chunk}
-	return &globalFrames{gm: gm, chunk: chunk}
+	return &globalFrames{gm: gm}
 }
 
 // evictConn is the asynchronous eviction path. Unlike evict (round loop
@@ -237,16 +237,12 @@ func (f *Federation) asyncRecv(id int, c *CountingConn, hub *asyncHub, coord *fl
 		if !dedup.admit(id, trainedGen) {
 			// A rejoin replayed the contribution this server already
 			// folded (the party cannot know that); drop it silently.
-			if buf != nil {
-				tensor.Shared.Put(buf)
-			}
+			tensor.Shared.Put(buf)
 			continue
 		}
 		flushed, done, ferr := coord.Fold(id, u, trainedGen)
 		if ferr != nil {
-			if buf != nil {
-				tensor.Shared.Put(buf)
-			}
+			tensor.Shared.Put(buf)
 			// done distinguishes a poisoned run (not the party's fault)
 			// from a rejected update (aggregation contract violation).
 			if !done && !hub.isDone() {
@@ -259,9 +255,7 @@ func (f *Federation) asyncRecv(id int, c *CountingConn, hub *asyncHub, coord *fl
 		// bookkeeping: the party advanced its c_i when it trained, whether
 		// or not the fold still counted.
 		f.applyControlDelta(id, u.DeltaC)
-		if buf != nil {
-			tensor.Shared.Put(buf)
-		}
+		tensor.Shared.Put(buf)
 		if flushed && !done {
 			gen, state, control := coord.GlobalSnapshot()
 			hub.publish(gen, newGlobalGen(gen, state, control, budget, f.Cfg.ChunkSize))
@@ -283,49 +277,26 @@ func (f *Federation) asyncBudget() int {
 }
 
 // recvAsyncUpdate reads and validates one complete update stream from a
-// party: a single UpdateMsg frame in monolithic mode, a reassembled
-// UpdateChunkMsg stream (with the synchronous stager's exact validation)
-// in chunked mode. The returned buf, when non-nil, backs u's vectors and
-// must be returned to the shared pool once u is consumed. trainedGen is
-// the generation the party reports training against; the coordinator
-// bounds it. fatal classifies an error the way the sync path does:
-// protocol violations are permanent, transport loss is not.
+// party, reassembled with the synchronous stager's exact validation
+// (uplinkStream). The returned buf backs u's vectors and must be
+// returned to the shared pool once u is consumed. trainedGen is the
+// generation the party reports training against; the coordinator bounds
+// it. fatal classifies an error the way the sync path does: protocol
+// violations are permanent, transport loss is not.
 func (f *Federation) recvAsyncUpdate(c *CountingConn, id, total, stateLen int, meta fl.UpdateMeta) (u fl.Update, trainedGen int, buf *tensor.Tensor, err error, fatal bool) {
-	// No deadline while waiting for a stream to begin: an async party
-	// legitimately idles between generations for as long as the flush
-	// schedule takes (its training time is someone else's fold), so
-	// RoundTimeout bounds only the gaps inside a stream. A crashed party
-	// is still detected promptly through its conn.
-	if f.Cfg.ChunkSize <= 0 {
-		_ = c.SetReadDeadline(time.Time{})
-		raw, rerr := c.Recv()
-		if rerr != nil {
-			return fl.Update{}, 0, nil, fmt.Errorf("simnet: recv from party %d: %w", id, rerr), false
-		}
-		decoded, derr := Unmarshal(raw)
-		if derr != nil {
-			return fl.Update{}, 0, nil, derr, true
-		}
-		um, ok := decoded.(UpdateMsg)
-		if !ok {
-			return fl.Update{}, 0, nil, fmt.Errorf("simnet: unexpected reply %T from party %d", decoded, id), true
-		}
-		return fl.Update{
-			Delta: um.Delta, Tau: um.Tau, N: um.N,
-			DeltaC: um.DeltaC, TrainLoss: um.TrainLoss,
-		}, um.Round, nil, nil, false
-	}
 	t := tensor.Shared.GetRaw(tensor.Float64, total)
 	data := t.Data()[:total]
-	done := 0
-	round := 0
-	streamCodec := byte(0)
-	first := true
+	stream := uplinkStream{id: id, total: total, bound: frameBound(f.Cfg.ChunkSize, total), meta: meta}
 	fail := func(err error, fatal bool) (fl.Update, int, *tensor.Tensor, error, bool) {
 		tensor.Shared.Put(t)
 		return fl.Update{}, 0, nil, err, fatal
 	}
-	for {
+	for first := true; ; first = false {
+		// No deadline while waiting for a stream to begin: an async party
+		// legitimately idles between generations for as long as the flush
+		// schedule takes (its training time is someone else's fold), so
+		// RoundTimeout bounds only the gaps inside a stream. A crashed
+		// party is still detected promptly through its conn.
 		if first {
 			_ = c.SetReadDeadline(time.Time{})
 		} else if f.RoundTimeout > 0 {
@@ -335,47 +306,26 @@ func (f *Federation) recvAsyncUpdate(c *CountingConn, id, total, stateLen int, m
 		if rerr != nil {
 			return fail(fmt.Errorf("simnet: recv from party %d: %w", id, rerr), false)
 		}
+		done := stream.done
 		m, codec, derr := decodeUpdateFrameInto(raw, data[done:done:total])
 		if derr != nil {
 			return fail(fmt.Errorf("simnet: bad frame from party %d: %w", id, derr), true)
 		}
 		if first {
-			round, streamCodec, first = m.Round, codec, false
+			// The stream trains against whichever generation its first
+			// frame names; every later frame must repeat it.
+			stream.round = m.Round
 		}
-		var verr error
-		switch {
-		case codec != streamCodec:
-			verr = fmt.Errorf("simnet: party %d switched wire codec %s -> %s mid-stream",
-				id, codecName(streamCodec), codecName(codec))
-		case m.Round != round:
-			verr = fmt.Errorf("simnet: party %d changed generation %d to %d mid-stream", id, round, m.Round)
-		case m.Total != total:
-			verr = fmt.Errorf("simnet: party %d declared stream length %d, expected %d", id, m.Total, total)
-		case m.N != meta.N || m.Tau != meta.Tau:
-			verr = fmt.Errorf("simnet: party %d frame meta (n=%d tau=%d) does not match expected (n=%d tau=%d)",
-				id, m.N, m.Tau, meta.N, meta.Tau)
-		case len(m.Chunk) > f.Cfg.ChunkSize:
-			verr = fmt.Errorf("simnet: party %d sent a %d-element frame, chunk size is %d", id, len(m.Chunk), f.Cfg.ChunkSize)
-		case m.Offset != done:
-			verr = fmt.Errorf("simnet: party %d sent frame offset %d, expected %d", id, m.Offset, done)
-		case m.Offset+len(m.Chunk) > total:
-			verr = fmt.Errorf("simnet: party %d frame [%d,%d) overflows stream length %d", id, m.Offset, m.Offset+len(m.Chunk), total)
-		case m.Last != (m.Offset+len(m.Chunk) == total):
-			verr = fmt.Errorf("simnet: party %d frame [%d,%d) of %d has inconsistent last marker", id, m.Offset, m.Offset+len(m.Chunk), total)
-		case len(m.Chunk) == 0 && !m.Last:
-			verr = fmt.Errorf("simnet: party %d sent an empty non-final frame at offset %d", id, m.Offset)
-		}
+		last, verr := stream.accept(m, codec, data)
 		if verr != nil {
 			return fail(verr, true)
 		}
-		copy(data[done:], m.Chunk) // no-op when the frame decoded in place
-		done += len(m.Chunk)
-		if m.Last {
+		if last {
 			u = fl.Update{Delta: data[:stateLen], N: m.N, Tau: m.Tau, TrainLoss: m.TrainLoss}
 			if stateLen < total {
 				u.DeltaC = data[stateLen:total]
 			}
-			return u, round, t, nil, false
+			return u, stream.round, t, nil, false
 		}
 	}
 }

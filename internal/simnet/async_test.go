@@ -67,10 +67,10 @@ func TestAsyncRunLocalAllAlgorithms(t *testing.T) {
 	}
 }
 
-// TestAsyncMonolithicRunLocal covers the whole-frame async reply path
-// (ChunkSize 0): updates arrive as single UpdateMsg frames and broadcasts
-// as single serialized GlobalMsg frames — never the pipes' interning
-// shortcut, which is lockstep-only. The federation must still learn.
+// TestAsyncMonolithicRunLocal covers async mode at ChunkSize 0, where
+// every update and every broadcast vector travels as a single chunk
+// frame — serialized, never the pipes' interning shortcut, which is
+// lockstep-only. The federation must still learn.
 func TestAsyncMonolithicRunLocal(t *testing.T) {
 	cfg, locals, test := smallFederation(t)
 	cfg.Rounds = 4
@@ -343,7 +343,7 @@ func TestFoldAheadStragglerIndependence(t *testing.T) {
 					return
 				}
 				if len(raw) > 0 && raw[0] == msgGlobalChunk {
-					m, err := UnmarshalGlobalChunkInto(raw, nil)
+					m, _, err := decodeGlobalFrameInto(raw, nil)
 					if err != nil {
 						t.Errorf("party %d downlink frame: %v", i, err)
 						return

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -15,12 +14,13 @@ import (
 )
 
 // serveFakeParty speaks the party protocol procedurally: it reads the
-// global broadcast, drops it, and replies with a constant-valued update —
-// streamed as chunk frames of the server-requested size, or as one whole
-// UpdateMsg when the server asked for monolithic framing. It never holds
-// model state, so the process's live heap during a round is protocol
-// buffering: exactly what BenchmarkRoundPeakMemory wants to observe.
-func serveFakeParty(conn Conn, id, n, stateLen int, cfg fl.Config) error {
+// interned global broadcast descriptor, drops it, and replies with the
+// shared read-only delta streamed as chunk frames of the server-requested
+// size (one whole-state frame at chunk size 0) through one reused encode
+// buffer, as a real party session does. It never holds model state, so
+// the process's live heap during a round is protocol buffering: exactly
+// what BenchmarkRoundPeakMemory wants to observe.
+func serveFakeParty(conn Conn, id, n int, delta []float64, cfg fl.Config) error {
 	hello, err := Marshal(HelloMsg{ID: id, N: n, LabelDist: []float64{0.5, 0.5}})
 	if err != nil {
 		return err
@@ -30,7 +30,7 @@ func serveFakeParty(conn Conn, id, n, stateLen int, cfg fl.Config) error {
 	}
 	tau := fl.PredictTau(cfg, n)
 	var frame []byte
-	var vals []float64
+	stateLen := len(delta)
 	for {
 		raw, err := conn.Recv()
 		if err != nil {
@@ -39,102 +39,69 @@ func serveFakeParty(conn Conn, id, n, stateLen int, cfg fl.Config) error {
 		if len(raw) == 0 || raw[0] == msgShutdown {
 			return nil
 		}
-		var round, chunk int
-		switch raw[0] {
-		case msgGlobalRef:
-			// Interned pipe broadcast: only the tiny descriptor crosses the
-			// channel; the fake party never touches the shared state.
-			m, err := Unmarshal(raw)
-			if err != nil {
-				return err
-			}
-			g := m.(GlobalRefMsg)
-			round, chunk = g.Round, g.Chunk
-		case msgGlobal:
-			if len(raw) < 13 {
-				return fmt.Errorf("fake party %d: short global", id)
-			}
-			round = int(binary.LittleEndian.Uint32(raw[1:]))
-			chunk = int(binary.LittleEndian.Uint32(raw[9:]))
-		default:
+		if raw[0] != msgGlobalRef {
 			return fmt.Errorf("fake party %d: unexpected message tag %d", id, raw[0])
 		}
-		raw = nil // release the state-length downlink before replying
-		// Stagger replies a little, as real local training would, so the
-		// downlink copies are dead by the time the upload burst peaks.
-		time.Sleep(time.Duration(200+50*id) * time.Microsecond)
-		if chunk > 0 {
-			if cap(vals) < chunk {
-				vals = make([]float64, chunk)
-			}
-			for off := 0; off < stateLen; off += chunk {
-				end := off + chunk
-				if end > stateLen {
-					end = stateLen
-				}
-				v := vals[:end-off]
-				for i := range v {
-					v[i] = 1e-3
-				}
-				frame, err = AppendMarshal(frame[:0], UpdateChunkMsg{
-					Round: round, Offset: off, Total: stateLen,
-					N: n, Tau: tau, TrainLoss: 0.5,
-					Last: end == stateLen, Chunk: v,
-				})
-				if err != nil {
-					return err
-				}
-				if err := conn.Send(frame); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		// Monolithic framing: the party must materialize and ship its
-		// whole flattened delta — the O(clients x state) behaviour the
-		// chunked path eliminates.
-		delta := make([]float64, stateLen)
-		for i := range delta {
-			delta[i] = 1e-3
-		}
-		reply, err := Marshal(UpdateMsg{Round: round, N: n, Tau: tau, TrainLoss: 0.5, Delta: delta})
+		// Interned pipe broadcast: only the tiny descriptor crosses the
+		// channel; the fake party never touches the shared state.
+		m, err := Unmarshal(raw)
 		if err != nil {
 			return err
 		}
-		if err := conn.Send(reply); err != nil {
-			return err
+		g := m.(GlobalRefMsg)
+		// Stagger replies a little, as real local training would, so the
+		// downlink copies are dead by the time the upload burst peaks.
+		time.Sleep(time.Duration(200+50*id) * time.Microsecond)
+		chunk := frameBound(g.Chunk, stateLen)
+		for off := 0; off < stateLen; off += chunk {
+			end := min(off+chunk, stateLen)
+			frame, err = AppendMarshal(frame[:0], UpdateChunkMsg{
+				Round: g.Round, Offset: off, Total: stateLen,
+				N: n, Tau: tau, TrainLoss: 0.5,
+				Last: end == stateLen, Chunk: delta[off:end],
+			})
+			if err != nil {
+				return err
+			}
+			if err := conn.Send(frame); err != nil {
+				return err
+			}
 		}
 	}
 }
 
 // BenchmarkRoundPeakMemory measures peak live heap through whole rounds
-// of the wire protocol as the number of in-flight parties grows, with
-// monolithic versus chunked update framing and a chunk-size x frame-window
-// sweep over the chunked modes. A sampler goroutine forces GCs and tracks
-// the high-water HeapAlloc, reported as peak-live-B. Monolithic framing
-// buffers O(parties x state); chunked framing holds the O(state)
-// accumulator plus a bounded frame window per connection — and the
-// downlink is interned over the in-process pipes (one shared broadcast
-// buffer) — so its peak stays nearly flat as parties scale at fixed chunk
-// size.
+// of the wire protocol as the number of in-flight parties grows, over a
+// chunk-size x frame-window sweep that includes chunk size 0 (each
+// vector one frame). A sampler goroutine forces GCs and tracks the
+// high-water HeapAlloc, reported as peak-live-B. The server holds the
+// O(state) accumulator, a frame window per connection (window x frame
+// size — a whole state vector per frame at chunk size 0) and up to
+// Config.FoldAhead fully staged update streams (default 4); the downlink
+// is interned over the in-process pipes (one shared broadcast buffer).
+// The peak therefore does not stay flat as parties scale: fold-ahead
+// staging alone grows it by up to FoldAhead state vectors, and bigger
+// frames times deeper windows add O(parties x window x frame).
 func BenchmarkRoundPeakMemory(b *testing.B) {
 	spec := nn.ModelSpec{Kind: nn.KindMLP, InputDim: 20000, Classes: 2}
-	stateLen := nn.Build(spec, rng.New(1)).StateCount()
+	// One constant-valued delta shared read-only by every fake party,
+	// allocated before the heap baseline: it stands in for model state,
+	// which the measurement excludes.
+	delta := make([]float64, nn.Build(spec, rng.New(1)).StateCount())
+	for i := range delta {
+		delta[i] = 1e-3
+	}
 	modes := []struct {
 		chunk, window int
 	}{
-		{0, 0},      // monolithic framing
+		{0, 4},      // one frame per vector, default window
 		{4096, 1},   // lockstep fold
 		{4096, 4},   // default window
 		{16384, 16}, // deep window x bigger frames
 	}
 	for _, parties := range []int{4, 16, 48} {
 		for _, mode := range modes {
-			name := "whole"
-			if mode.chunk > 0 {
-				name = fmt.Sprintf("chunk=%d/window=%d", mode.chunk, mode.window)
-			}
-			b.Run(fmt.Sprintf("parties=%d/%s", parties, name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("parties=%d/chunk=%d/window=%d", parties, mode.chunk, mode.window), func(b *testing.B) {
 				cfg, err := fl.Config{
 					Algorithm: fl.FedAvg, Rounds: 2, LocalEpochs: 1,
 					BatchSize: 32, Seed: 7, Parallelism: 1,
@@ -181,7 +148,7 @@ func BenchmarkRoundPeakMemory(b *testing.B) {
 						wg.Add(1)
 						go func(p int, conn Conn) {
 							defer wg.Done()
-							if err := serveFakeParty(conn, p, 64, stateLen, cfg); err != nil {
+							if err := serveFakeParty(conn, p, 64, delta, cfg); err != nil {
 								b.Error(err)
 							}
 						}(p, partySide)

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
 	"net"
 	"sync"
@@ -41,7 +42,7 @@ func TestCodecRoundTripUpdateChunk(t *testing.T) {
 	if got2.Chunk[2] != 3 {
 		t.Fatalf("pooled decode: %+v", got2)
 	}
-	if _, err := UnmarshalChunkInto([]byte{msgGlobal, 0}, buf); err == nil {
+	if _, err := UnmarshalChunkInto([]byte{msgGlobalChunk, 0}, buf); err == nil {
 		t.Fatal("UnmarshalChunkInto should reject non-chunk messages")
 	}
 }
@@ -97,7 +98,9 @@ func (j *jitterConn) Send(b []byte) error {
 // forcing heavy cross-party interleaving of chunk frames — and demands
 // bitwise-identical final states. The fold must be deterministic in
 // sampled order no matter how frames arrive; run with -race this is also
-// the concurrency regression test for the chunked receive path.
+// the concurrency regression test for the chunked receive path. Measured
+// CommBytes must match too: the pipes' interned broadcast is charged the
+// exact size of the frames TCP serializes.
 func TestChunkedTCPOutOfOrderMatchesPipes(t *testing.T) {
 	cfg, locals, test := smallFederation(t)
 	cfg.Algorithm = fl.Scaffold // exercises the two-vector stream
@@ -161,12 +164,16 @@ func TestChunkedTCPOutOfOrderMatchesPipes(t *testing.T) {
 		if sr.res.Curve[r].TrainLoss != viaPipes.Curve[r].TrainLoss {
 			t.Fatalf("round %d: loss tcp %v vs pipes %v", r, sr.res.Curve[r].TrainLoss, viaPipes.Curve[r].TrainLoss)
 		}
+		if sr.res.Curve[r].CommBytes != viaPipes.Curve[r].CommBytes {
+			t.Fatalf("round %d: CommBytes tcp %d vs pipes %d", r, sr.res.Curve[r].CommBytes, viaPipes.Curve[r].CommBytes)
+		}
 	}
 }
 
 // TestChunkedMatchesWholeOverPipes pins end-to-end bit-identity of the
-// wire chunking itself: the same federation with whole-update frames and
-// with chunked frames must produce identical state trajectories.
+// wire chunking itself: the same federation at ChunkSize 0 (each vector
+// one frame) and with many small frames must produce identical state
+// trajectories, the small frames costing more header bytes.
 func TestChunkedMatchesWholeOverPipes(t *testing.T) {
 	cfg, locals, test := smallFederation(t)
 	cfg.Rounds = 3
@@ -186,7 +193,7 @@ func TestChunkedMatchesWholeOverPipes(t *testing.T) {
 		}
 	}
 	if chunked.TotalCommBytes <= whole.TotalCommBytes {
-		t.Fatalf("chunked framing should cost slightly more wire bytes: %d vs %d",
+		t.Fatalf("smaller frames should cost slightly more wire bytes: %d vs %d",
 			chunked.TotalCommBytes, whole.TotalCommBytes)
 	}
 }
@@ -213,19 +220,16 @@ func rawParty(t *testing.T, conn Conn, hello HelloMsg, reply func(round int, g G
 		if err != nil {
 			return
 		}
-		var g GlobalMsg
-		switch m := msg.(type) {
-		case GlobalMsg:
-			g = m
-		case GlobalRefMsg:
-			// Interned pipe broadcast: resolve the shared buffer like a
-			// real party would.
-			if g, err = takeGlobalRef(conn, m); err != nil {
-				t.Errorf("rawParty ref: %v", err)
-				return
-			}
-		default:
+		m, ok := msg.(GlobalRefMsg)
+		if !ok {
 			return // shutdown
+		}
+		// Interned pipe broadcast: resolve the shared buffer like a real
+		// party would.
+		g, err := takeGlobalRef(conn, m)
+		if err != nil {
+			t.Errorf("rawParty ref: %v", err)
+			return
 		}
 		if err := reply(g.Round, g); err != nil {
 			return
@@ -596,9 +600,9 @@ func TestRoundTimeoutEvictsSilentParty(t *testing.T) {
 }
 
 // TestDeadPartyEvictedNotFatal kills one party after its first-round
-// reply. In chunked mode the federation must evict it — no broadcast to
-// the dead conn, no second receiver, no abort — and complete every
-// remaining round from the survivors.
+// reply. The federation must evict it — no broadcast to the dead conn, no
+// second receiver, no abort — and complete every remaining round from the
+// survivors, at a small chunk size and at ChunkSize 0 alike.
 func TestDeadPartyEvictedNotFatal(t *testing.T) {
 	train, test, err := data.Load("adult", data.Config{TrainN: 600, TestN: 200, Seed: 21})
 	if err != nil {
@@ -609,76 +613,73 @@ func TestDeadPartyEvictedNotFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec, _ := data.Model("adult")
-	cfg, err := fl.Config{Algorithm: fl.FedAvg, Rounds: 4, LocalEpochs: 1, BatchSize: 32,
-		LR: 0.05, Seed: 5, ChunkSize: 64}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const parties = 3
-	const mortal = 2
-	conns := make([]*CountingConn, parties)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		serverSide, partySide := Pipe()
-		conns[i] = NewCountingConn(serverSide)
-		wg.Add(1)
-		go func(i int, conn Conn) {
-			defer wg.Done()
-			if err := ServeParty(conn, i, locals[i], spec, cfg, cfg.Seed+uint64(i), ""); err != nil {
-				t.Errorf("party %d: %v", i, err)
+	for _, chunk := range []int{64, 0} {
+		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
+			cfg, err := fl.Config{Algorithm: fl.FedAvg, Rounds: 4, LocalEpochs: 1, BatchSize: 32,
+				LR: 0.05, Seed: 5, ChunkSize: chunk}.Normalize()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(i, partySide)
-	}
-	serverSide, mortalSide := Pipe()
-	conns[mortal] = NewCountingConn(serverSide)
-	mortalN := 80
-	mortalTau := fl.PredictTau(cfg, mortalN)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rawParty(t, mortalSide, HelloMsg{ID: mortal, N: mortalN, LabelDist: []float64{0.5, 0.5}},
-			func(round int, g GlobalMsg) error {
-				if round > 0 {
-					return mortalSide.Close() // die after round 0
-				}
-				// A fully valid zero-delta stream for round 0.
-				total := len(g.State)
-				buf := make([]float64, g.Chunk)
-				for off := 0; off < total; off += g.Chunk {
-					end := off + g.Chunk
-					if end > total {
-						end = total
-					}
-					b, err := Marshal(UpdateChunkMsg{Round: round, Offset: off, Total: total,
-						N: mortalN, Tau: mortalTau, TrainLoss: 0.5,
-						Last: end == total, Chunk: buf[:end-off]})
-					if err != nil {
-						return err
-					}
-					if err := mortalSide.Send(b); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-	}()
 
-	fed := &Federation{Cfg: cfg, Spec: cfg.ResolveSpec(spec), Test: test, conns: conns, local: true}
-	res, err := fed.serve(parties)
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("federation should survive a party death: %v", err)
+			const parties = 3
+			const mortal = 2
+			conns := make([]*CountingConn, parties)
+			var wg sync.WaitGroup
+			for i := 0; i < 2; i++ {
+				serverSide, partySide := Pipe()
+				conns[i] = NewCountingConn(serverSide)
+				wg.Add(1)
+				go func(i int, conn Conn) {
+					defer wg.Done()
+					if err := ServeParty(conn, i, locals[i], spec, cfg, cfg.Seed+uint64(i), ""); err != nil {
+						t.Errorf("party %d: %v", i, err)
+					}
+				}(i, partySide)
+			}
+			serverSide, mortalSide := Pipe()
+			conns[mortal] = NewCountingConn(serverSide)
+			mortalN := 80
+			mortalTau := fl.PredictTau(cfg, mortalN)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rawParty(t, mortalSide, HelloMsg{ID: mortal, N: mortalN, LabelDist: []float64{0.5, 0.5}},
+					func(round int, g GlobalMsg) error {
+						if round > 0 {
+							return mortalSide.Close() // die after round 0
+						}
+						// A fully valid zero-delta stream for round 0, framed
+						// at the server's chunk size.
+						total := len(g.State)
+						return fl.ChunkStream(make([]float64, total), nil, g.Chunk, func(off int, c []float64) error {
+							b, err := Marshal(UpdateChunkMsg{Round: round, Offset: off, Total: total,
+								N: mortalN, Tau: mortalTau, TrainLoss: 0.5,
+								Last: off+len(c) == total, Chunk: c})
+							if err != nil {
+								return err
+							}
+							return mortalSide.Send(b)
+						})
+					})
+			}()
+
+			fed := &Federation{Cfg: cfg, Spec: cfg.ResolveSpec(spec), Test: test, conns: conns, local: true}
+			res, err := fed.serve(parties)
+			wg.Wait()
+			if err != nil {
+				t.Fatalf("federation should survive a party death: %v", err)
+			}
+			if len(res.Curve) != cfg.Rounds {
+				t.Fatalf("rounds: %d", len(res.Curve))
+			}
+			for _, m := range res.Curve[0].Dropped {
+				if m == mortal {
+					t.Fatal("round 0 should not drop the still-alive party")
+				}
+			}
+			assertEvictedAt(t, res.Curve, mortal, 1)
+		})
 	}
-	if len(res.Curve) != cfg.Rounds {
-		t.Fatalf("rounds: %d", len(res.Curve))
-	}
-	for _, m := range res.Curve[0].Dropped {
-		if m == mortal {
-			t.Fatal("round 0 should not drop the still-alive party")
-		}
-	}
-	assertEvictedAt(t, res.Curve, mortal, 1)
 }
 
 // TestSilentHelloTimesOut connects a client that never sends its hello:

@@ -13,10 +13,11 @@ import (
 	"math"
 )
 
-// Message type tags.
+// Message type tags. Tags 1 and 2 belonged to the whole-message
+// GlobalMsg/UpdateMsg frames retired in protocol version 5; they stay
+// unassigned so a stray old frame decodes as an unknown tag, never as
+// something else.
 const (
-	msgGlobal       byte = 1
-	msgUpdate       byte = 2
 	msgShutdown     byte = 3
 	msgHello        byte = 4
 	msgUpdateChunk  byte = 5
@@ -42,25 +43,25 @@ const (
 	// adds the hello's rejoin flag and the ResyncMsg rejoin handshake;
 	// version 3 adds the hello's min-version byte for range negotiation;
 	// version 4 adds the hello's codec-support mask and the quantized
-	// chunk frames (UpdateChunkQMsg/GlobalChunkQMsg).
-	ProtoVersion byte = 4
+	// chunk frames (UpdateChunkQMsg/GlobalChunkQMsg); version 5 retires
+	// the whole-message GlobalMsg/UpdateMsg frames, so every round moves
+	// state as a chunk stream (ChunkSize 0 frames each vector whole).
+	ProtoVersion byte = 5
 	// MinProtoVersion is the oldest generation this build still admits.
-	// A version-3+ hello carries the peer's own [min,max] range; the
-	// server admits when the ranges overlap and records the negotiated
-	// version (the lower of the two maxima), so adjacent generations
-	// interoperate during rolling upgrades instead of reject-only
-	// admission. Versions 2 through 4 share every raw post-hello frame
-	// layout — the quantized frames are new in v4 but only negotiated
-	// toward peers whose hello advertises them, with raw float64 the
-	// fallback — which is what makes admitting a v2 or v3 party sound.
-	MinProtoVersion byte = 2
+	// The hello carries the peer's own [min,max] range and the server
+	// admits when the ranges overlap, so a future generation that still
+	// speaks this one federates during a rolling upgrade. Nothing older
+	// than version 5 is admitted: earlier peers may send whole-message
+	// frames this build no longer decodes.
+	MinProtoVersion byte = 5
 )
 
 // VersionError reports a hello whose supported protocol range has no
 // overlap with this build's. Admission surfaces it through
 // ServerListener.OnReject so the operator sees exactly which side is
-// stale. GotMin equals Got for pre-range (v2 and older) peers, which
-// speak exactly one generation.
+// stale. Hellos older than version 3 carry no min-version byte, so for
+// such a peer GotMin is whatever byte followed its version; the
+// rejection stands either way.
 type VersionError struct {
 	Got    byte // the peer's newest supported version
 	GotMin byte // the peer's oldest supported version
@@ -71,21 +72,14 @@ func (e *VersionError) Error() string {
 		e.GotMin, e.Got, MinProtoVersion, ProtoVersion)
 }
 
-// NegotiatedVersion returns the protocol generation the server should
-// record for an admitted peer: the newest generation both sides speak.
-func NegotiatedVersion(peerMax byte) byte {
-	if peerMax < ProtoVersion {
-		return peerMax
-	}
-	return ProtoVersion
-}
-
 // maxTokenLen bounds the handshake token on the wire so a hostile hello
 // cannot demand an arbitrary allocation.
 const maxTokenLen = 4096
 
-// GlobalMsg is the server-to-party payload at the start of a round: the
-// global model state and, for SCAFFOLD, the server control variate.
+// GlobalMsg is a round broadcast in memory: the global model state and,
+// for SCAFFOLD, the server control variate. It never crosses the wire
+// whole — the server frames it as a GlobalChunkMsg (or GlobalChunkQMsg)
+// stream, or interns it over a pipe behind a GlobalRefMsg descriptor.
 type GlobalMsg struct {
 	Round   int
 	State   []float64
@@ -95,10 +89,11 @@ type GlobalMsg struct {
 	// sets it when parties share its process, so K concurrently-training
 	// parties split the machine instead of oversubscribing it.
 	Budget int
-	// Chunk is the update streaming chunk size in float64 elements the
-	// server wants replies framed with; 0 asks for one whole UpdateMsg.
-	// The server's value is authoritative — parties follow it, so both
-	// sides of a deployment never need matching flags.
+	// Chunk is the streaming chunk size in float64 elements the server
+	// frames its broadcast with and wants replies framed with; 0 frames
+	// each vector as a single chunk. The server's value is authoritative
+	// — parties follow it, so both sides of a deployment never need
+	// matching flags.
 	Chunk int
 }
 
@@ -106,11 +101,11 @@ type GlobalMsg struct {
 // party's identity, an optional shared-secret token, and what the server
 // needs for weighting (dataset size) and stratified sampling (label
 // distribution). On the wire it opens with the protocol magic, the
-// newest version the party speaks and — from version 3 on — the oldest
-// version it still speaks, so both sides can negotiate across a rolling
-// upgrade. Marshal stamps the build's ProtoVersion/MinProtoVersion when
-// the fields are zero, so ordinary callers never set them (tests craft
-// skewed hellos by setting them explicitly).
+// newest version the party speaks and the oldest version it still
+// speaks, so both sides can negotiate across a rolling upgrade. Marshal
+// stamps the build's ProtoVersion/MinProtoVersion when the fields are
+// zero, so ordinary callers never set them (tests craft skewed hellos by
+// setting them explicitly).
 type HelloMsg struct {
 	ID        int
 	N         int
@@ -118,8 +113,7 @@ type HelloMsg struct {
 	LabelDist []float64
 	Version   byte
 	// MinVersion is the oldest protocol generation the party still
-	// speaks; zero means "same as Version" for pre-range layouts and is
-	// stamped with MinProtoVersion when Marshal emits a v3+ hello.
+	// speaks; Marshal stamps MinProtoVersion when it is zero.
 	MinVersion byte
 	// Rejoin marks a re-hello from a party that was admitted earlier and
 	// lost its connection: the server re-admits it under its old ID (unless
@@ -127,10 +121,8 @@ type HelloMsg struct {
 	// before the next round broadcast.
 	Rejoin bool
 	// Codecs is the bitmask of wire chunk codecs the sender can decode
-	// (bit c set ⇔ wire codec c; see the quant.go identifiers), carried
-	// by version-4+ hellos. Marshal stamps the build's full support mask
-	// when the field is zero; pre-v4 peers never send one and are
-	// treated as raw-f64-only by negotiation.
+	// (bit c set ⇔ wire codec c; see the quant.go identifiers). Marshal
+	// stamps the build's full support mask when the field is zero.
 	Codecs byte
 }
 
@@ -152,17 +144,7 @@ type ResyncMsg struct {
 	Control   []float64
 }
 
-// UpdateMsg is the party-to-server payload at the end of local training.
-type UpdateMsg struct {
-	Round     int
-	N         int
-	Tau       int
-	TrainLoss float64
-	Delta     []float64
-	DeltaC    []float64 // nil unless SCAFFOLD
-}
-
-// UpdateChunkMsg carries one frame of a party's chunked round reply: a
+// UpdateChunkMsg carries one frame of a party's round reply: a
 // consecutive slice of the flattened update stream (the state-length
 // delta followed, for SCAFFOLD, by the parameter-length control delta).
 // Offset indexes the combined stream, Total is its full length, and Last
@@ -181,15 +163,15 @@ type UpdateChunkMsg struct {
 	Chunk     []float64
 }
 
-// GlobalChunkMsg carries one frame of the server's chunked round
-// broadcast: a consecutive slice of the flattened downlink stream (the
+// GlobalChunkMsg carries one frame of the server's round broadcast: a
+// consecutive slice of the flattened downlink stream (the
 // state vector followed, for SCAFFOLD, by the server control variate),
 // symmetric to the uplink's UpdateChunkMsg. Offset indexes the combined
 // stream, Total is its full length and CtrlLen the control suffix, so the
 // party can split the reassembled buffer without a separate header frame.
-// Budget and Chunk repeat the GlobalMsg round metadata on every frame
-// (8 bytes — negligible against the payload) so the party validates the
-// stream's shape on its first frame.
+// Budget and Chunk repeat the round metadata on every frame (8 bytes —
+// negligible against the payload) so the party validates the stream's
+// shape on its first frame.
 type GlobalChunkMsg struct {
 	Round   int
 	Offset  int
@@ -280,14 +262,27 @@ type GlobalRefMsg struct {
 // ShutdownMsg tells a party the run is over.
 type ShutdownMsg struct{}
 
-// globalWireSize is the serialized size of a monolithic GlobalMsg with the
-// given vector lengths: tag + round/budget/chunk + two length-prefixed
-// float vectors. Interned pipe broadcasts (SendGlobalRef) account this
-// equivalent size so measured CommBytes keeps reporting the protocol's
-// logical traffic — what a real deployment would move — rather than the
+// globalChunkHeader is a raw GlobalChunkMsg's size without its payload:
+// tag + six uint32 header fields + last marker + payload length prefix.
+const globalChunkHeader = 1 + 6*4 + 1 + 4
+
+// globalFramesWireSize is the serialized size of a raw f64 broadcast's
+// frame set: the GlobalChunkMsg stream that fl.ChunkStream frames from
+// vectors of the given lengths at the given chunk size. Interned pipe
+// broadcasts (SendGlobalRef) account exactly this, so measured CommBytes
+// reports the bytes the same federation moves over TCP rather than the
 // in-process shortcut's.
-func globalWireSize(stateLen, ctrlLen int) int64 {
-	return 1 + 3*4 + (4 + 8*int64(stateLen)) + (4 + 8*int64(ctrlLen))
+func globalFramesWireSize(stateLen, ctrlLen, chunk int) int64 {
+	var size int64
+	for _, n := range [2]int{stateLen, ctrlLen} {
+		if n == 0 {
+			continue // ChunkStream frames nothing for an empty vector
+		}
+		per := frameBound(chunk, n)
+		frames := (n + per - 1) / per
+		size += int64(frames)*globalChunkHeader + 8*int64(n)
+	}
+	return size
 }
 
 func appendUint32(b []byte, v uint32) []byte {
@@ -380,9 +375,9 @@ func readString(b []byte) (string, []byte, error) {
 	return string(b[:n]), b[n:], nil
 }
 
-// Marshal encodes a message. Supported types: GlobalMsg, HelloMsg,
-// UpdateMsg, UpdateChunkMsg, GlobalChunkMsg, UpdateChunkQMsg,
-// GlobalChunkQMsg, GlobalRefMsg, ResyncMsg, ShutdownMsg.
+// Marshal encodes a message. Supported types: HelloMsg, UpdateChunkMsg,
+// GlobalChunkMsg, UpdateChunkQMsg, GlobalChunkQMsg, GlobalRefMsg,
+// ResyncMsg, ShutdownMsg.
 func Marshal(msg any) ([]byte, error) {
 	return AppendMarshal(nil, msg)
 }
@@ -392,14 +387,6 @@ func Marshal(msg any) ([]byte, error) {
 // framing, where the caller recycles one buffer across frames.
 func AppendMarshal(dst []byte, msg any) ([]byte, error) {
 	switch m := msg.(type) {
-	case GlobalMsg:
-		b := append(dst, msgGlobal)
-		b = appendUint32(b, uint32(m.Round))
-		b = appendUint32(b, uint32(m.Budget))
-		b = appendUint32(b, uint32(m.Chunk))
-		b = appendFloats(b, m.State)
-		b = appendFloats(b, m.Control)
-		return b, nil
 	case HelloMsg:
 		if len(m.Token) > maxTokenLen {
 			return nil, fmt.Errorf("simnet: token of %d bytes exceeds limit", len(m.Token))
@@ -408,33 +395,19 @@ func AppendMarshal(dst []byte, msg any) ([]byte, error) {
 		if v == 0 {
 			v = ProtoVersion
 		}
+		minv := m.MinVersion
+		if minv == 0 {
+			minv = MinProtoVersion
+		}
+		codecs := m.Codecs
+		if codecs == 0 {
+			codecs = codecSupportMask
+		}
 		rejoin := byte(0)
 		if m.Rejoin {
 			rejoin = 1
 		}
-		var b []byte
-		if v >= 3 {
-			minv := m.MinVersion
-			if minv == 0 {
-				minv = MinProtoVersion
-			}
-			if v >= 4 {
-				codecs := m.Codecs
-				if codecs == 0 {
-					codecs = codecSupportMask
-				}
-				b = append(dst, msgHello, protoMagic, v, minv, codecs, rejoin)
-			} else {
-				// v3 layout: the range bytes without the codec mask,
-				// exactly what a v3 build emits.
-				b = append(dst, msgHello, protoMagic, v, minv, rejoin)
-			}
-		} else {
-			// Pre-range layout: exactly the bytes a v2 build emits, so
-			// tests (and a hypothetical downgrade path) can speak to old
-			// peers.
-			b = append(dst, msgHello, protoMagic, v, rejoin)
-		}
+		b := append(dst, msgHello, protoMagic, v, minv, codecs, rejoin)
 		b = appendUint32(b, uint32(m.ID))
 		b = appendUint32(b, uint32(m.N))
 		b = appendString(b, m.Token)
@@ -445,15 +418,6 @@ func AppendMarshal(dst []byte, msg any) ([]byte, error) {
 		b = appendUint32(b, uint32(m.Round))
 		b = appendUint32(b, uint32(m.ExpectTau))
 		b = appendFloats(b, m.Control)
-		return b, nil
-	case UpdateMsg:
-		b := append(dst, msgUpdate)
-		b = appendUint32(b, uint32(m.Round))
-		b = appendUint32(b, uint32(m.N))
-		b = appendUint32(b, uint32(m.Tau))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.TrainLoss))
-		b = appendFloats(b, m.Delta)
-		b = appendFloats(b, m.DeltaC)
 		return b, nil
 	case UpdateChunkMsg:
 		b := append(dst, msgUpdateChunk)
@@ -549,70 +513,30 @@ func Unmarshal(b []byte) (any, error) {
 	}
 	tag, b := b[0], b[1:]
 	switch tag {
-	case msgGlobal:
-		var m GlobalMsg
-		r, b, err := readUint32(b)
-		if err != nil {
-			return nil, err
-		}
-		m.Round = int(r)
-		bg, b, err := readUint32(b)
-		if err != nil {
-			return nil, err
-		}
-		m.Budget = int(bg)
-		ck, b, err := readUint32(b)
-		if err != nil {
-			return nil, err
-		}
-		m.Chunk = int(ck)
-		if m.State, b, err = readFloats(b); err != nil {
-			return nil, err
-		}
-		if m.Control, _, err = readFloats(b); err != nil {
-			return nil, err
-		}
-		return m, nil
 	case msgHello:
 		var m HelloMsg
-		if len(b) < 2 {
+		if len(b) < 3 {
 			return nil, fmt.Errorf("simnet: truncated hello preamble")
 		}
 		if b[0] != protoMagic {
 			return nil, fmt.Errorf("simnet: hello magic 0x%02x, want 0x%02x (not a niidbench hello, or a pre-versioning peer)", b[0], protoMagic)
 		}
-		v := b[1]
-		minv := v // pre-range peers speak exactly one generation
-		b = b[2:]
-		if v >= 3 {
-			if len(b) < 1 {
-				return nil, fmt.Errorf("simnet: truncated hello version range")
-			}
-			minv = b[0]
-			b = b[1:]
-		}
+		v, minv := b[1], b[2]
+		b = b[3:]
 		// Admit on range overlap: the peer must still speak something we
 		// do ([minv, v] ∩ [MinProtoVersion, ProtoVersion] non-empty; an
-		// inverted peer range is skew too). Checked before the v4 codec
-		// mask, so a skewed peer always gets the typed version error even
-		// off a short preamble.
+		// inverted peer range is skew too). Checked before the codec mask,
+		// so a skewed peer always gets the typed version error even off a
+		// short preamble.
 		if v < MinProtoVersion || minv > ProtoVersion || minv > v {
 			return nil, &VersionError{Got: v, GotMin: minv}
 		}
-		if v >= 4 {
-			if len(b) < 1 {
-				return nil, fmt.Errorf("simnet: truncated hello codec mask")
-			}
-			m.Codecs = b[0]
-			b = b[1:]
+		if len(b) < 2 {
+			return nil, fmt.Errorf("simnet: truncated hello codec mask or rejoin flag")
 		}
-		m.Version = v
-		m.MinVersion = minv
-		if len(b) < 1 {
-			return nil, fmt.Errorf("simnet: truncated hello rejoin flag")
-		}
-		m.Rejoin = b[0] != 0
-		b = b[1:]
+		m.Version, m.MinVersion = v, minv
+		m.Codecs, m.Rejoin = b[0], b[1] != 0
+		b = b[2:]
 		id, b, err := readUint32(b)
 		if err != nil {
 			return nil, err
@@ -627,35 +551,6 @@ func Unmarshal(b []byte) (any, error) {
 			return nil, err
 		}
 		if m.LabelDist, _, err = readFloats(b); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case msgUpdate:
-		var m UpdateMsg
-		r, b, err := readUint32(b)
-		if err != nil {
-			return nil, err
-		}
-		m.Round = int(r)
-		n, b, err := readUint32(b)
-		if err != nil {
-			return nil, err
-		}
-		m.N = int(n)
-		tau, b, err := readUint32(b)
-		if err != nil {
-			return nil, err
-		}
-		m.Tau = int(tau)
-		if len(b) < 8 {
-			return nil, fmt.Errorf("simnet: truncated loss")
-		}
-		m.TrainLoss = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-		if m.Delta, b, err = readFloats(b); err != nil {
-			return nil, err
-		}
-		if m.DeltaC, _, err = readFloats(b); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -730,21 +625,6 @@ func UnmarshalChunkInto(b []byte, buf []float64) (UpdateChunkMsg, error) {
 		return UpdateChunkMsg{}, fmt.Errorf("simnet: expected update chunk, got message tag %d", b[0])
 	}
 	return unmarshalChunk(b[1:], buf)
-}
-
-// UnmarshalGlobalChunkInto decodes a GlobalChunkMsg, reusing buf's backing
-// array for the payload when it has the capacity — the party-side fast
-// path, where buf is a view of the round's assembly buffer at the expected
-// offset so an in-order frame decodes straight into place. It rejects any
-// other message type.
-func UnmarshalGlobalChunkInto(b []byte, buf []float64) (GlobalChunkMsg, error) {
-	if len(b) == 0 {
-		return GlobalChunkMsg{}, fmt.Errorf("simnet: empty message")
-	}
-	if b[0] != msgGlobalChunk {
-		return GlobalChunkMsg{}, fmt.Errorf("simnet: expected global chunk, got message tag %d", b[0])
-	}
-	return unmarshalGlobalChunk(b[1:], buf)
 }
 
 // unmarshalGlobalChunk decodes the body (everything after the tag byte) of
@@ -903,7 +783,7 @@ func decodeUpdateFrameInto(raw []byte, buf []float64) (UpdateChunkMsg, byte, err
 	}
 }
 
-/// decodeGlobalFrameInto is decodeUpdateFrameInto's downlink twin: one
+// decodeGlobalFrameInto is decodeUpdateFrameInto's downlink twin: one
 // broadcast chunk frame, raw or quantized, decoded into the raw form
 // (dequantizing into buf) plus the frame's wire codec.
 func decodeGlobalFrameInto(raw []byte, buf []float64) (GlobalChunkMsg, byte, error) {

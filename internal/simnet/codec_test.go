@@ -12,12 +12,10 @@ import (
 // not a reviewer catch.
 func allMsgFixtures() []any {
 	return []any{
-		GlobalMsg{Round: 7, State: []float64{1.5, -2, 0}, Control: []float64{0.25}, Budget: 3, Chunk: 4096},
 		HelloMsg{ID: 4, N: 321, Token: "secret", LabelDist: []float64{0.5, 0.25, 0.25},
 			Version: ProtoVersion, MinVersion: MinProtoVersion, Rejoin: true,
 			Codecs: codecSupportMask},
 		ResyncMsg{Round: 9, ExpectTau: 5, Control: []float64{-0.5, 2}},
-		UpdateMsg{Round: 2, N: 64, Tau: 8, TrainLoss: 0.75, Delta: []float64{3, -4}, DeltaC: []float64{1}},
 		UpdateChunkMsg{Round: 3, Offset: 37, Total: 74, N: 10, Tau: 4, Last: true,
 			TrainLoss: 0.125, Chunk: []float64{9, 8, 7}},
 		GlobalChunkMsg{Round: 5, Offset: 11, Total: 42, CtrlLen: 6, Budget: 2,

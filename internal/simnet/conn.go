@@ -17,8 +17,7 @@ type readDeadliner interface {
 }
 
 // recvLimiter is implemented by conns whose Recv can be bounded in size.
-// The protocol sets the limit per phase (hello, chunked round, monolithic
-// round) so a hostile length prefix is rejected before anything is
+// The protocol sets the limit per phase (hello, round) so a hostile length prefix is rejected before anything is
 // allocated or read, not after.
 type recvLimiter interface {
 	SetRecvLimit(n uint32)
@@ -283,9 +282,10 @@ func (c *CountingConn) SetRecvLimit(n uint32) {
 // SendGlobalRef publishes the round's global vectors by reference when the
 // inner conn supports interning (in-process pipes) and reports handled
 // false otherwise so the caller falls back to serialized framing. A
-// handled send is accounted at the monolithic GlobalMsg's equivalent
-// serialized size: measured CommBytes reports the protocol's logical
-// traffic, which the interning shortcut does not change.
+// handled send is accounted at the exact size of the raw frame set it
+// stands for (see globalFramesWireSize): measured CommBytes reports the
+// protocol's logical traffic, which the interning shortcut does not
+// change.
 func (c *CountingConn) SendGlobalRef(m GlobalMsg) (handled bool, err error) {
 	rs, ok := c.Inner.(globalRefSender)
 	if !ok {
@@ -294,7 +294,7 @@ func (c *CountingConn) SendGlobalRef(m GlobalMsg) (handled bool, err error) {
 	if err := rs.SendGlobalRef(m); err != nil {
 		return true, err
 	}
-	c.sentBytes.Add(globalWireSize(len(m.State), len(m.Control)))
+	c.sentBytes.Add(globalFramesWireSize(len(m.State), len(m.Control), m.Chunk))
 	return true, nil
 }
 

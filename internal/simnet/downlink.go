@@ -10,8 +10,8 @@ import (
 // reader goroutine owns the connection's Recv and hands the training
 // loop incomingGlobal handles through a small buffered queue, so the
 // next round's broadcast is received (and reassembled) while the current
-// round still trains — and, for chunked broadcasts, the handle is
-// published after the FIRST frame, so training can start on the in-order
+// round still trains — and the handle of a framed broadcast is published
+// after its FIRST frame, so training can start on the in-order
 // state prefix while later chunks are still in flight (see
 // fl.StreamedGlobal / Client.TrainStreamPrefixed).
 //
@@ -34,8 +34,7 @@ type incomingGlobal struct {
 	budget int
 	chunk  int
 	// codec is the wire codec the broadcast arrived in; the reply streams
-	// back in the same codec. Zero (raw f64) for monolithic and interned
-	// broadcasts.
+	// back in the same codec. Zero (raw f64) for interned broadcasts.
 	codec byte
 
 	mu   sync.Mutex
@@ -43,7 +42,7 @@ type incomingGlobal struct {
 
 	state   []float64
 	control []float64
-	buf     []float64 // pooled backing for state+control; nil when borrowed (interned / monolithic decode)
+	buf     []float64 // pooled backing for state+control; nil when borrowed from an interned broadcast
 	free    chan []float64
 
 	total    int
@@ -252,10 +251,6 @@ func (r *downlinkReader) loop() {
 		case ShutdownMsg:
 			r.push(dlItem{shutdown: true, got: true})
 			return
-		case GlobalMsg:
-			if !r.pushComplete(m) {
-				return
-			}
 		case GlobalRefMsg:
 			g, err := takeGlobalRef(r.conn, m)
 			if err != nil {
@@ -272,8 +267,8 @@ func (r *downlinkReader) loop() {
 	}
 }
 
-// pushComplete publishes a monolithic (or interned) broadcast as an
-// already-complete handle.
+// pushComplete publishes an interned broadcast as an already-complete
+// handle.
 func (r *downlinkReader) pushComplete(m GlobalMsg) bool {
 	ig := newIncomingGlobal(m.Round, m.Budget, m.Chunk)
 	ig.state, ig.control = m.State, m.Control
@@ -282,11 +277,12 @@ func (r *downlinkReader) pushComplete(m GlobalMsg) bool {
 	return r.push(dlItem{g: ig})
 }
 
-// recvChunkedGlobal reassembles one chunked broadcast, publishing the
+// recvChunkedGlobal reassembles one framed broadcast, publishing the
 // handle right after the validated first frame so training can begin on
-// the state prefix. Validation mirrors the lockstep reassembly exactly:
-// constant header, in-order gap-free offsets, consistent last marker, no
-// empty non-final frames, declared length within the model's bound.
+// the state prefix. Validation: constant header and codec, in-order
+// gap-free offsets, consistent last marker, no empty non-final frames,
+// declared length within the model's bound — checked before the
+// assembly buffer is sized from it.
 // Returns false when the reader must exit (terminal pushed or stopped).
 func (r *downlinkReader) recvChunkedGlobal(raw []byte) bool {
 	buf := r.takeBuf()

@@ -21,8 +21,9 @@ import (
 // the fold, which stops reading the conn and lets the transport's own
 // flow control (channel capacity for pipes, the kernel's socket buffers
 // for TCP) push back on the sender. Server-side transient buffering in a
-// chunked round is therefore O(sampled x window x chunk) on top of the
-// O(state) accumulator — never a full state vector per in-flight client.
+// round is therefore O(sampled x window x frame) on top of the O(state)
+// accumulator — with a positive ChunkSize, never a full state vector per
+// in-flight client.
 // The width comes from Config.ChunkWindow (CLI -chunk-window) so
 // deployments can trade smoothing against memory for their RTT; the
 // guard covers Federations constructed without Normalize.
@@ -50,14 +51,14 @@ type Federation struct {
 	// RoundTimeout, when positive, bounds how long the server waits for
 	// each reply frame within a round (the clock restarts on every
 	// received frame, so the first gap must cover the party's local
-	// training). A party that stalls past it is treated like a dead conn:
-	// evicted in chunked mode, fatal in monolithic mode. Zero waits
-	// forever — the right default when honest parties may train for
-	// arbitrarily long. Only effective on conns with deadline support
-	// (TCP); in-memory pipes are trusted in-process peers.
+	// training). A party that stalls past it is treated like a dead conn
+	// and evicted from the federation. Zero waits forever — the right
+	// default when honest parties may train for arbitrarily long. Only
+	// effective on conns with deadline support (TCP); in-memory pipes are
+	// trusted in-process peers.
 	RoundTimeout time.Duration
-	// RejoinGrace, when positive, is the broadcast heal window: a chunked
-	// round whose broadcast fails toward some party waits up to this long
+	// RejoinGrace, when positive, is the broadcast heal window: a round
+	// whose broadcast fails toward some party waits up to this long
 	// for that party's rejoin before proceeding without it. A death
 	// discovered at the broadcast — before the party trained or any update
 	// was folded — is the one failure that can be repaired mid-round
@@ -110,15 +111,10 @@ type Federation struct {
 	roundsDone int   // completed rounds, for the ResyncMsg round stamp
 	prevBytes  int64 // byte watermark for per-round accounting
 
-	// versions records each admitted party's negotiated protocol
-	// generation (min of the peer's newest and ours), written at
-	// registration and on every rejoin under memMu.
-	versions []byte
 	// codecs records the wire chunk codec negotiated with each party:
 	// the configured Cfg.Codec when the peer's hello advertised support
-	// for it (v4+ hellos carry the mask), raw float64 otherwise — the
-	// range-negotiation fallback that keeps older peers admitted.
-	// Written at registration and on every rejoin under memMu.
+	// for it, raw float64 otherwise. Written at registration and on every
+	// rejoin under memMu.
 	codecs []byte
 
 	// Resume, when non-nil, is the durable snapshot this federation
@@ -182,10 +178,10 @@ type rejoinReq struct {
 // introduces itself with a HelloMsg (identity, optional shared-secret
 // token, dataset size, label distribution) so the server can authenticate
 // it, weight its updates and sample stratified without ever seeing the raw
-// data. Round replies follow the framing the server asked for in its
-// GlobalMsg: one whole UpdateMsg, or a stream of UpdateChunkMsg frames.
-// For rejoin-capable parties over TCP, see DialPartyOpts, which keeps the
-// session's model and buffers across reconnects.
+// data. Round replies stream back as chunk frames of the size the
+// server's broadcast asked for. For rejoin-capable parties over TCP, see
+// DialPartyOpts, which keeps the session's model and buffers across
+// reconnects.
 func ServeParty(conn Conn, id int, local *data.Dataset, spec nn.ModelSpec, cfg fl.Config, seed uint64, token string) error {
 	s, err := newPartySession(id, local, spec, cfg, seed)
 	if err != nil {
@@ -280,12 +276,12 @@ func (s *partySession) run(conn Conn, token string, rejoin bool, helloTimeout ti
 		return fmt.Errorf("simnet: party %d hello: %w", s.id, err)
 	}
 	// Bound every server frame before it is read: the largest legitimate
-	// downlink is one monolithic GlobalMsg for this party's model; chunk
-	// frames, resyncs and shutdowns are strictly smaller. The party side
-	// of the memory contract — a hostile (or buggy) server cannot make a
-	// party allocate an arbitrary frame.
+	// downlink is one chunk frame carrying this party's whole state (the
+	// ChunkSize 0 framing); smaller chunks, resyncs and shutdowns fit
+	// under it. The party side of the memory contract — a hostile (or
+	// buggy) server cannot make a party allocate an arbitrary frame.
 	if rl, ok := conn.(recvLimiter); ok {
-		rl.SetRecvLimit(downlinkLimit(s.client.StateCount(), s.client.ParamCount()))
+		rl.SetRecvLimit(downlinkLimit(s.client.StateCount()))
 	}
 	dl, hasDeadline := conn.(readDeadliner)
 	if helloTimeout > 0 && hasDeadline {
@@ -357,10 +353,10 @@ func (s *partySession) run(conn Conn, token string, rejoin bool, helloTimeout ti
 	}
 }
 
-// handleGlobal answers one round broadcast: replay, chunked prefix
-// training, or the monolithic reply. The handle is always released —
-// returning its assembly buffer to the session's free list — whatever
-// the outcome.
+// handleGlobal answers one round broadcast: a replay of the cached
+// reply, or prefix training and a streamed reply. The handle is always
+// released — returning its assembly buffer to the session's free list —
+// whatever the outcome.
 func (s *partySession) handleGlobal(conn Conn, ig *incomingGlobal) error {
 	defer ig.Release()
 	s.client.SetComputeBudget(tensor.Compute{Workers: ig.budget})
@@ -370,7 +366,7 @@ func (s *partySession) handleGlobal(conn Conn, ig *incomingGlobal) error {
 		// landed, or our uplink died mid-send. Replay the cached reply
 		// verbatim; retraining would advance the client's RNG and
 		// per-algorithm state a second time and fork the run.
-		if err := s.replayReply(conn, GlobalMsg{Round: ig.round, Chunk: ig.chunk}, ig.codec); err != nil {
+		if err := s.replayReply(conn, ig.round, ig.chunk, ig.codec); err != nil {
 			return fmt.Errorf("simnet: party %d replay: %w", s.id, err)
 		}
 		return nil
@@ -379,71 +375,40 @@ func (s *partySession) handleGlobal(conn Conn, ig *incomingGlobal) error {
 	if s.cacheOn {
 		cache = &s.cache
 	}
-	if ig.chunk > 0 {
-		if err := partyTrainChunked(conn, s.client, ig, s.cfg, &s.frame, &s.qbuf, cache); err != nil {
-			return fmt.Errorf("simnet: party %d: %w", s.id, err)
-		}
-		return nil
-	}
-	// Monolithic handles are published complete; the wait is a no-op
-	// guard.
-	if !ig.WaitAll() {
-		return fmt.Errorf("simnet: party %d recv: %w", s.id, ig.Err())
-	}
-	up := s.client.LocalTrain(ig.state, ig.control, s.cfg)
-	if cache != nil {
-		cache.store(ig.round, up)
-	}
-	reply, err := Marshal(UpdateMsg{
-		Round: ig.round, N: up.N, Tau: up.Tau,
-		TrainLoss: up.TrainLoss, Delta: up.Delta, DeltaC: up.DeltaC,
-	})
-	if err != nil {
-		return err
-	}
-	if err := conn.Send(reply); err != nil {
-		return fmt.Errorf("simnet: party %d send: %w", s.id, err)
+	if err := partyTrain(conn, s.client, ig, s.cfg, &s.frame, &s.qbuf, cache); err != nil {
+		return fmt.Errorf("simnet: party %d: %w", s.id, err)
 	}
 	return nil
 }
 
-// replayReply re-sends the cached uplink for g.Round in whichever framing
-// and wire codec the server asked for. Quantization is deterministic, so
-// a replay re-quantizing the cached float64 update produces bytes
-// identical to the original reply.
-func (s *partySession) replayReply(conn Conn, g GlobalMsg, codec byte) error {
+// replayReply re-sends the cached uplink for round in whichever chunk
+// size and wire codec the server asked for. Quantization is
+// deterministic, so a replay re-quantizing the cached float64 update
+// produces bytes identical to the original reply.
+func (s *partySession) replayReply(conn Conn, round, chunkSize int, codec byte) error {
 	c := &s.cache
-	if g.Chunk > 0 {
-		total := len(c.delta) + len(c.deltaC)
-		return fl.ChunkStream(c.delta, c.deltaC, g.Chunk, func(offset int, chunk []float64) error {
-			b, err := appendUpdateFrame(s.frame[:0], &s.qbuf, codec, UpdateChunkMsg{
-				Round: g.Round, Offset: offset, Total: total,
-				N: c.n, Tau: c.tau, TrainLoss: c.loss,
-				Last:  offset+len(chunk) == total,
-				Chunk: chunk,
-			})
-			if err != nil {
-				return err
-			}
-			s.frame = b
-			return conn.Send(b)
+	total := len(c.delta) + len(c.deltaC)
+	return fl.ChunkStream(c.delta, c.deltaC, chunkSize, func(offset int, chunk []float64) error {
+		b, err := appendUpdateFrame(s.frame[:0], &s.qbuf, codec, UpdateChunkMsg{
+			Round: round, Offset: offset, Total: total,
+			N: c.n, Tau: c.tau, TrainLoss: c.loss,
+			Last:  offset+len(chunk) == total,
+			Chunk: chunk,
 		})
-	}
-	reply, err := Marshal(UpdateMsg{
-		Round: g.Round, N: c.n, Tau: c.tau,
-		TrainLoss: c.loss, Delta: c.delta, DeltaC: c.deltaC,
+		if err != nil {
+			return err
+		}
+		s.frame = b
+		return conn.Send(b)
 	})
-	if err != nil {
-		return err
-	}
-	return conn.Send(reply)
 }
 
-// downlinkLimit bounds the frames a party accepts from the server: the
-// serialized size of one monolithic GlobalMsg carrying the party's full
-// state and a parameter-length control vector, plus header slack.
-func downlinkLimit(stateLen, paramLen int) uint32 {
-	sz := globalWireSize(stateLen, paramLen) + 64
+// downlinkLimit bounds the frames a party accepts from the server: one
+// raw chunk frame carrying the party's full state (the largest vector a
+// ChunkSize 0 broadcast frames whole — a SCAFFOLD control vector is
+// parameter-length, never longer), plus header slack.
+func downlinkLimit(stateLen int) uint32 {
+	sz := globalFramesWireSize(stateLen, 0, 0) + 64
 	if sz > maxMsg {
 		return maxMsg
 	}
@@ -468,79 +433,15 @@ func takeGlobalRef(conn Conn, m GlobalRefMsg) (GlobalMsg, error) {
 	return GlobalMsg{Round: m.Round, State: state, Control: control, Budget: m.Budget, Chunk: m.Chunk}, nil
 }
 
-// recvGlobalChunked reassembles one round's chunked broadcast, starting
-// from its already-decoded first frame. Frames on one conn must arrive in
-// order without gaps or overlaps, with a consistent header and a correct
-// last marker; each subsequent frame decodes straight into the assembly
-// buffer at its expected offset, so an in-order stream costs zero copies
-// beyond the buffer itself — which persists across rounds, keeping the
-// party's downlink at one state-length allocation total. max bounds the
-// declared stream length (the party's state plus a parameter-length
-// control vector): the assembly buffer is sized from the wire-supplied
-// Total, so the bound is checked before anything is allocated — a hostile
-// header cannot demand an arbitrary allocation any more than a hostile
-// frame can.
-func recvGlobalChunked(conn Conn, first GlobalChunkMsg, buf *[]float64, max int) (GlobalMsg, error) {
-	total, ctrl := first.Total, first.CtrlLen
-	if total < 0 || ctrl < 0 || ctrl > total {
-		return GlobalMsg{}, fmt.Errorf("simnet: downlink stream of %d elements with control suffix %d", total, ctrl)
-	}
-	if total > max {
-		return GlobalMsg{}, fmt.Errorf("simnet: downlink stream of %d elements exceeds this model's bound %d", total, max)
-	}
-	if cap(*buf) < total {
-		*buf = make([]float64, total)
-	}
-	*buf = (*buf)[:total]
-	m := first
-	done := 0
-	for {
-		switch {
-		case m.Round != first.Round || m.Total != total || m.CtrlLen != ctrl ||
-			m.Budget != first.Budget || m.Chunk != first.Chunk:
-			return GlobalMsg{}, fmt.Errorf("simnet: downlink frame header changed mid-stream")
-		case m.Offset != done || done+len(m.Payload) > total:
-			return GlobalMsg{}, fmt.Errorf("simnet: downlink frame [%d,%d) of %d, expected offset %d",
-				m.Offset, m.Offset+len(m.Payload), total, done)
-		case m.Last != (done+len(m.Payload) == total):
-			return GlobalMsg{}, fmt.Errorf("simnet: downlink frame [%d,%d) of %d has inconsistent last marker",
-				m.Offset, m.Offset+len(m.Payload), total)
-		case len(m.Payload) == 0 && !m.Last:
-			// ChunkStream never emits an empty non-final frame; accepting
-			// one would let a peer spin this loop forever without
-			// progress.
-			return GlobalMsg{}, fmt.Errorf("simnet: empty non-final downlink frame at offset %d", done)
-		}
-		copy((*buf)[done:], m.Payload) // no-op when the frame decoded in place
-		done += len(m.Payload)
-		if m.Last {
-			break
-		}
-		raw, err := conn.Recv()
-		if err != nil {
-			return GlobalMsg{}, fmt.Errorf("simnet: downlink recv: %w", err)
-		}
-		if m, err = UnmarshalGlobalChunkInto(raw, (*buf)[done:done:total]); err != nil {
-			return GlobalMsg{}, err
-		}
-	}
-	g := GlobalMsg{Round: first.Round, Budget: first.Budget, Chunk: first.Chunk, State: (*buf)[:total-ctrl]}
-	if ctrl > 0 {
-		g.Control = (*buf)[total-ctrl : total]
-	}
-	return g, nil
-}
-
-// partyTrainChunked trains one round — beginning on the broadcast's
-// in-order state prefix while later downlink chunks are still in flight
+// partyTrain trains one round — beginning on the broadcast's in-order
+// state prefix while later downlink chunks are still in flight
 // (fl.Client.TrainStreamPrefixed) — and streams the update back as chunk
 // frames of the server-requested size, in the same wire codec the
-// broadcast arrived in (the negotiated codec; a v3 server never sends
-// quantized frames, so an old server keeps getting raw replies). Each
-// frame serializes a view into the client's pooled workspace through one
-// reused encode buffer, so the party never materializes a second
-// state-length vector for the reply.
-func partyTrainChunked(conn Conn, client *fl.Client, ig *incomingGlobal, cfg fl.Config, frame, qbuf *[]byte, cache *replyCache) error {
+// broadcast arrived in (the negotiated codec). Each frame serializes a
+// view into the client's pooled workspace through one reused encode
+// buffer, so the party never materializes a second state-length vector
+// for the reply.
+func partyTrain(conn Conn, client *fl.Client, ig *incomingGlobal, cfg fl.Config, frame, qbuf *[]byte, cache *replyCache) error {
 	p, err := client.TrainStreamPrefixed(ig, cfg)
 	if err != nil {
 		return err
@@ -1022,32 +923,16 @@ func (f *Federation) initParties(numParties int) {
 	f.dists = make([][]float64, numParties)
 	f.state = make([]partyState, numParties)
 	f.resyncC = make([][]float64, numParties)
-	f.versions = make([]byte, numParties)
 	f.codecs = make([]byte, numParties)
 }
 
-// NegotiatedVersion returns the protocol generation negotiated with
-// party id at its latest (re)admission, or 0 if it never registered.
-func (f *Federation) NegotiatedVersion(id int) byte {
-	f.memMu.Lock()
-	defer f.memMu.Unlock()
-	if id < 0 || id >= len(f.versions) {
-		return 0
-	}
-	return f.versions[id]
-}
-
 // negotiatedCodec resolves the wire chunk codec for a party from its
-// hello: the configured codec when the peer both speaks version 4 (the
-// generation whose hello carries the support mask) and advertises the
-// bit, raw float64 otherwise. The fallback mirrors the version-range
-// negotiation — an old peer is admitted, it just rides the raw wire.
+// hello: the configured codec when the peer advertises the bit in its
+// codec-support mask, raw float64 otherwise — a peer that cannot decode
+// the configured codec is admitted, it just rides the raw wire.
 func (f *Federation) negotiatedCodec(h HelloMsg) byte {
 	want := wireCodec(f.Cfg.Codec)
 	if want == wireCodecF64 {
-		return wireCodecF64
-	}
-	if NegotiatedVersion(h.Version) < 4 {
 		return wireCodecF64
 	}
 	if h.Codecs&(1<<want) == 0 {
@@ -1181,7 +1066,6 @@ func (f *Federation) installQueuedRejoins() []int {
 		f.metas[id] = fl.UpdateMeta{N: r.h.N, Tau: fl.PredictTau(f.Cfg, r.h.N)}
 		f.dists[id] = sanitizeDist(r.h.LabelDist)
 		f.state[id] = partyAlive
-		f.versions[id] = NegotiatedVersion(r.h.Version)
 		f.codecs[id] = f.negotiatedCodec(r.h)
 		f.conns = append(f.conns, r.conn)
 		f.memMu.Unlock()
@@ -1249,7 +1133,6 @@ func (f *Federation) register(c *CountingConn, h HelloMsg, numParties int) error
 	f.byParty[h.ID] = c
 	f.metas[h.ID] = fl.UpdateMeta{N: h.N, Tau: fl.PredictTau(f.Cfg, h.N)}
 	f.dists[h.ID] = sanitizeDist(h.LabelDist)
-	f.versions[h.ID] = NegotiatedVersion(h.Version)
 	f.codecs[h.ID] = f.negotiatedCodec(h)
 	f.memMu.Unlock()
 	return nil
@@ -1306,14 +1189,21 @@ const helloFrameLimit = 1 << 20
 // arrive; the rest queue in the kernel's listen backlog.
 const maxConcurrentHellos = 64
 
-// recvLimitFor returns the per-frame receive bound for one round: the
-// largest legitimate reply payload (one chunk, or one whole update with
-// its control delta) plus header slack.
-func recvLimitFor(chunk, stateLen, ctrlLen int) uint32 {
-	payload := uint64(stateLen+ctrlLen) * 8
+// frameBound returns the most elements one chunk frame of a total-length
+// stream may carry: the chunk size, or — for ChunkSize 0, which frames
+// each vector whole — the stream length itself.
+func frameBound(chunk, total int) int {
 	if chunk > 0 {
-		payload = uint64(chunk) * 8
+		return chunk
 	}
+	return total
+}
+
+// recvLimitFor returns the per-frame receive bound for one round: the
+// largest legitimate reply payload (one frame of frameBound elements)
+// plus header slack.
+func recvLimitFor(chunk, stateLen, ctrlLen int) uint32 {
+	payload := uint64(frameBound(chunk, stateLen+ctrlLen)) * 8
 	const slack = 64
 	if payload+slack > maxMsg {
 		return maxMsg
@@ -1357,11 +1247,12 @@ func (f *Federation) PartyMeta(id int) fl.UpdateMeta { return f.metas[id] }
 // state to the sampled parties, then receives their replies concurrently —
 // tolerating arrival in any order — and folds each into the aggregation
 // the moment the next-in-sample-order update is available, so the server
-// never buffers the whole round. With Cfg.ChunkSize > 0 both directions
-// are chunked: the broadcast streams GlobalChunkMsg frames (interned by
-// reference over in-process pipes, so K co-resident parties share one
-// state buffer), and the reply fold holds at most a bounded window of
-// frames per connection on top of the accumulator.
+// never buffers the whole round. Both directions are chunk streams of
+// Cfg.ChunkSize frames (each vector whole at 0): the broadcast streams
+// GlobalChunkMsg frames (interned by reference over in-process pipes, so
+// K co-resident parties share one state buffer), and the reply fold
+// holds at most a bounded window of frames per connection on top of the
+// accumulator.
 func (f *Federation) TrainRound(round int, sampled []int, global, control []float64, sink *fl.RoundSink) error {
 	budget := 0
 	if f.local && len(sampled) > 0 {
@@ -1373,95 +1264,33 @@ func (f *Federation) TrainRound(round int, sampled []int, global, control []floa
 		budget = tensor.Compute{Workers: f.Cfg.Parallelism}.Split(len(sampled)).Workers
 	}
 	gm := GlobalMsg{Round: round, State: global, Control: control, Budget: budget, Chunk: f.Cfg.ChunkSize}
-	// Bound the replies to the largest legitimate frame for this round's
-	// framing mode, so a hostile length prefix is refused before the
-	// frame is read into memory — the memory contract holds even against
+	// Bound the replies to the largest legitimate frame for this round,
+	// so a hostile length prefix is refused before the frame is read into
+	// memory — the memory contract holds even against
 	// admitted-but-malicious parties.
 	limit := recvLimitFor(f.Cfg.ChunkSize, len(global), len(control))
 	f.ctrlLen = len(control)
-	if f.Cfg.ChunkSize > 0 {
-		bf := &globalFrames{gm: gm, chunk: f.Cfg.ChunkSize}
-		failed := f.broadcastChunked(gm, bf, sampled, limit)
-		if len(failed) > 0 && f.RejoinGrace > 0 {
-			f.healBroadcast(gm, bf, failed, limit)
-		}
-		if err := f.recvChunked(round, sampled, sink); err != nil {
-			return err
-		}
-		f.roundsDone = round + 1
-		return nil
+	bf := &globalFrames{gm: gm}
+	failed := f.broadcast(gm, bf, sampled, limit)
+	if len(failed) > 0 && f.RejoinGrace > 0 {
+		f.healBroadcast(gm, bf, failed, limit)
 	}
-	var enc []byte // lazily marshaled; only conns without interning need it
-	for _, id := range sampled {
-		c := f.byParty[id]
-		c.SetRecvLimit(limit)
-		handled, err := c.SendGlobalRef(gm)
-		if handled && err == nil {
-			continue
-		}
-		if !handled {
-			if enc == nil {
-				if enc, err = Marshal(gm); err != nil {
-					return err
-				}
-			}
-			err = c.Send(enc)
-		}
-		if err != nil {
-			// Monolithic rounds keep the legacy fail-fast semantics
-			// (eviction exists only in chunked mode).
-			return fmt.Errorf("simnet: send to party %d: %w", id, err)
-		}
-	}
-	type reply struct {
-		u   fl.Update
-		err error
-	}
-	// One receiver goroutine per sampled party: replies land whenever each
-	// party finishes, in any order across parties. Slots are buffered so
-	// no receiver ever blocks, even if the fold loop bails early.
-	slots := make([]chan reply, len(sampled))
-	for j := range slots {
-		slots[j] = make(chan reply, 1)
-	}
-	// Eviction exists only in chunked mode (the monolithic path keeps its
-	// legacy fail-fast semantics), so no dead-party handling is needed
-	// here: every party is alive when this branch runs.
-	for j, id := range sampled {
-		go func(j, id int) {
-			u, err := f.recvUpdate(id, round)
-			slots[j] <- reply{u: u, err: err}
-		}(j, id)
-	}
-	// Fold the longest available prefix in sampled order so the
-	// aggregation's floating-point order is deterministic for a given
-	// sample, whatever the wire order was.
-	for j := range slots {
-		r := <-slots[j]
-		if r.err != nil {
-			return r.err
-		}
-		if err := sink.Deliver(r.u); err != nil {
-			return err
-		}
-		// Accepted monolithic update: advance the party's tracked c_i the
-		// same way the chunked fold does, keeping resync state coherent in
-		// either framing mode.
-		f.applyControlDelta(sampled[j], r.u.DeltaC)
+	if err := f.recvStreams(round, sampled, sink); err != nil {
+		return err
 	}
 	f.roundsDone = round + 1
 	return nil
 }
 
-// broadcastChunked streams the round's global vectors to every live
-// sampled party concurrently — one sender goroutine per connection, so a
-// slow consumer delays only its own stream, never the whole broadcast.
-// A party whose stream cannot be delivered is evicted (chunked rounds
-// tolerate party loss; its receiver will surface the closed conn and the
-// fold drops it). Evictions are applied only after every sender has
+// broadcast streams the round's global vectors to every live sampled
+// party concurrently — one sender goroutine per connection, so a slow
+// consumer delays only its own stream, never the whole broadcast. A
+// party whose stream cannot be delivered is evicted (rounds tolerate
+// party loss; its receiver will surface the closed conn and the fold
+// drops it). Evictions are applied only after every sender has
 // finished, so the fold's upfront dead-party reads never race a sender.
 // The IDs whose broadcast failed are returned for the heal window.
-func (f *Federation) broadcastChunked(gm GlobalMsg, bf *globalFrames, sampled []int, limit uint32) []int {
+func (f *Federation) broadcast(gm GlobalMsg, bf *globalFrames, sampled []int, limit uint32) []int {
 	var wg sync.WaitGroup
 	errs := make([]error, len(sampled))
 	for j, id := range sampled {
@@ -1536,9 +1365,8 @@ func (f *Federation) healBroadcast(gm GlobalMsg, bf *globalFrames, failed []int,
 // slices must never be mutated after publication (tcpConn writes them
 // out, chanConn copies them).
 type globalFrames struct {
-	gm    GlobalMsg
-	chunk int
-	sets  [4]codecFrames // indexed by wire codec
+	gm   GlobalMsg
+	sets [4]codecFrames // indexed by wire codec
 }
 
 // codecFrames is one codec's lazily encoded frame set within a
@@ -1557,32 +1385,19 @@ func (b *globalFrames) frames(codec byte) ([][]byte, error) {
 		return nil, fmt.Errorf("simnet: unknown wire codec %d", codec)
 	}
 	s := &b.sets[codec]
-	s.once.Do(func() { s.fr, s.err = encodeGlobalFrames(b.gm, b.chunk, codec) })
+	s.once.Do(func() { s.fr, s.err = encodeGlobalFrames(b.gm, codec) })
 	return s.fr, s.err
 }
 
 // encodeGlobalFrames serializes one round broadcast — state first, then
-// SCAFFOLD's control, frames never crossing the seam — in the given wire
-// codec. Quantized codecs encode each chunk independently with its own
-// scale (the chunk frame is the quantization unit); chunk <= 0 is the
-// monolithic framing mode, which only the raw codec supports
-// (fl.Config.Normalize enforces this pairing, so the error here is a
-// backstop, not a reachable configuration).
-func encodeGlobalFrames(gm GlobalMsg, chunk int, codec byte) ([][]byte, error) {
-	if chunk <= 0 {
-		if codec != wireCodecF64 {
-			return nil, fmt.Errorf("simnet: %s codec requires chunked framing", codecName(codec))
-		}
-		enc, err := Marshal(gm)
-		if err != nil {
-			return nil, err
-		}
-		return [][]byte{enc}, nil
-	}
+// SCAFFOLD's control, in frames of gm.Chunk elements never crossing the
+// seam — in the given wire codec. Quantized codecs encode each chunk independently with its own
+// scale (the chunk frame is the quantization unit).
+func encodeGlobalFrames(gm GlobalMsg, codec byte) ([][]byte, error) {
 	total := len(gm.State) + len(gm.Control)
 	var fr [][]byte
 	var scratch []byte
-	err := fl.ChunkStream(gm.State, gm.Control, chunk, func(off int, c []float64) error {
+	err := fl.ChunkStream(gm.State, gm.Control, gm.Chunk, func(off int, c []float64) error {
 		last := off+len(c) == total
 		var enc []byte
 		var err error
@@ -1724,7 +1539,7 @@ type stagedStream struct {
 
 var errRoundAborted = fmt.Errorf("simnet: round aborted")
 
-// recvChunked receives the sampled parties' chunk streams concurrently —
+// recvStreams receives the sampled parties' chunk streams concurrently —
 // each connection feeding a bounded frame window into a per-party
 // staging goroutine — and folds the assembled streams in sampled order.
 // Staging is what fixes the serial straggler drain: every party's stream
@@ -1736,7 +1551,7 @@ var errRoundAborted = fmt.Errorf("simnet: round aborted")
 // floating-point sequence is bitwise what the serial drain produced. A
 // party whose stream arrives malformed (or whose conn dies mid-stream)
 // is dropped from the round, not fatal to it.
-func (f *Federation) recvChunked(round int, sampled []int, sink *fl.RoundSink) error {
+func (f *Federation) recvStreams(round int, sampled []int, sink *fl.RoundSink) error {
 	frames := make([]chan chunkFrame, len(sampled))
 	staged := make([]chan stagedStream, len(sampled))
 	window := f.window()
@@ -1761,7 +1576,7 @@ func (f *Federation) recvChunked(round int, sampled []int, sink *fl.RoundSink) e
 					frames[j] <- chunkFrame{err: fmt.Errorf("simnet: recv from party %d: %w", id, err)}
 					return
 				}
-				buf := tensor.Shared.GetRaw(tensor.Float64, f.Cfg.ChunkSize)
+				buf := tensor.Shared.GetRaw(tensor.Float64, frameBound(f.Cfg.ChunkSize, total))
 				m, codec, err := decodeUpdateFrameInto(raw, buf.Data())
 				if err != nil {
 					tensor.Shared.Put(buf)
@@ -1835,14 +1650,13 @@ func (f *Federation) recvChunked(round int, sampled []int, sink *fl.RoundSink) e
 }
 
 // stageChunkStream assembles one party's frame stream into a pooled
-// buffer, validating every frame — wrong round, bad total, mismatched
-// trailer meta, oversized chunk, out-of-order or overflowing offset,
-// inconsistent last marker — as it lands, and hands the fold loop either
-// the complete stream or the classified failure. It always sends exactly
-// one stagedStream on out, then drains (and recycles) any frames its
-// receiver still forwards; the receiver stops at the Last marker or —
-// forced by the eviction's conn close at the latest — on conn error, so
-// a re-sampled conn can never end up with two concurrent readers.
+// buffer, validating every frame as it lands (see uplinkStream.accept),
+// and hands the fold loop either the complete stream or the classified
+// failure. It always sends exactly one stagedStream on out, then drains
+// (and recycles) any frames its receiver still forwards; the receiver
+// stops at the Last marker or — forced by the eviction's conn close at
+// the latest — on conn error, so a re-sampled conn can never end up with
+// two concurrent readers.
 func (f *Federation) stageChunkStream(j, id, round, total int, meta fl.UpdateMeta, frames chan chunkFrame, out chan stagedStream, gate *foldGate) {
 	finish := func(st stagedStream) {
 		out <- st
@@ -1858,8 +1672,7 @@ func (f *Federation) stageChunkStream(j, id, round, total int, meta fl.UpdateMet
 	}
 	buf := tensor.Shared.GetRaw(tensor.Float64, total)
 	data := buf.Data()
-	done := 0
-	streamCodec, sawFrame := byte(0), false
+	stream := uplinkStream{id: id, round: round, total: total, bound: frameBound(f.Cfg.ChunkSize, total), meta: meta}
 	fail := func(err error, fatal bool) {
 		tensor.Shared.Put(buf)
 		finish(stagedStream{err: err, fatal: fatal})
@@ -1870,62 +1683,88 @@ func (f *Federation) stageChunkStream(j, id, round, total int, meta fl.UpdateMet
 			return
 		}
 		m := fr.msg
-		var err error
-		switch {
-		case sawFrame && fr.codec != streamCodec:
-			// The wire codec is a stream-level property: a party that
-			// switches encodings mid-stream is framing garbage, exactly like
-			// a mid-stream header change.
-			err = fmt.Errorf("simnet: party %d switched wire codec %s -> %s mid-stream",
-				id, codecName(streamCodec), codecName(fr.codec))
-		case m.Round != round:
-			err = fmt.Errorf("simnet: party %d sent a frame for round %d during round %d", id, m.Round, round)
-		case m.Total != total:
-			err = fmt.Errorf("simnet: party %d declared stream length %d, expected %d", id, m.Total, total)
-		case m.N != meta.N || m.Tau != meta.Tau:
-			// Checked on every frame — this is why the trailer metadata
-			// repeats — so a mismatched update is refused on its first
-			// frame, not after its whole stream was staged.
-			err = fmt.Errorf("simnet: party %d frame meta (n=%d tau=%d) does not match expected (n=%d tau=%d)",
-				id, m.N, m.Tau, meta.N, meta.Tau)
-		case len(m.Chunk) > f.Cfg.ChunkSize:
-			// The negotiated chunk size is the memory contract: a frame
-			// above it (up to one whole state vector) would reintroduce
-			// the O(conns x state) buffering this mode exists to bound.
-			err = fmt.Errorf("simnet: party %d sent a %d-element frame, chunk size is %d", id, len(m.Chunk), f.Cfg.ChunkSize)
-		case m.Offset != done:
-			err = fmt.Errorf("simnet: party %d sent frame offset %d, expected %d", id, m.Offset, done)
-		case m.Offset+len(m.Chunk) > total:
-			err = fmt.Errorf("simnet: party %d frame [%d,%d) overflows stream length %d", id, m.Offset, m.Offset+len(m.Chunk), total)
-		case m.Last != (m.Offset+len(m.Chunk) == total):
-			err = fmt.Errorf("simnet: party %d frame [%d,%d) of %d has inconsistent last marker", id, m.Offset, m.Offset+len(m.Chunk), total)
-		case len(m.Chunk) == 0 && !m.Last:
-			// An honest stream never frames zero elements mid-stream;
-			// accepting one would let a party occupy its round slot
-			// forever without progressing its offset.
-			err = fmt.Errorf("simnet: party %d sent an empty non-final frame at offset %d", id, m.Offset)
-		}
+		last, err := stream.accept(m, fr.codec, data)
+		tensor.Shared.Put(fr.buf)
 		if err != nil {
-			tensor.Shared.Put(fr.buf)
-			// Every branch above is the party's own framing at fault:
-			// protocol violation, permanent.
+			// The party's own framing is at fault: protocol violation,
+			// permanent.
 			fail(err, true)
 			return
 		}
-		streamCodec, sawFrame = fr.codec, true
-		copy(data[done:], m.Chunk)
-		done += len(m.Chunk)
-		last := m.Last
-		trailer := fl.Update{N: m.N, Tau: m.Tau, TrainLoss: m.TrainLoss}
-		tensor.Shared.Put(fr.buf)
 		if last {
-			finish(stagedStream{buf: buf, trailer: trailer})
+			finish(stagedStream{buf: buf, trailer: fl.Update{N: m.N, Tau: m.Tau, TrainLoss: m.TrainLoss}})
 			return
 		}
 	}
 	// The receiver closed the channel without a Last marker or an error
 	// frame — it cannot, but fail safe rather than hang the round open.
 	fail(fmt.Errorf("simnet: party %d chunk stream ended early", id), false)
+}
+
+// uplinkStream is the one validation of a party's update stream, shared
+// by the synchronous stager and the async receiver so the two can never
+// drift: every frame must carry the expected round, stream length and
+// trailer meta, stay within the frame bound, continue at the cursor
+// without overflowing, mark Last exactly on the final frame, make
+// progress unless it is the last, and keep the wire codec of the
+// stream's first frame.
+type uplinkStream struct {
+	id, round int
+	total     int
+	bound     int // most elements one frame may carry (frameBound)
+	meta      fl.UpdateMeta
+	done      int // stream cursor: elements accepted so far
+	codec     byte
+	sawFrame  bool
+}
+
+// accept validates frame m, which arrived in wire codec codec, and
+// copies its payload into data at the stream cursor (a no-op when the
+// frame was decoded in place). It reports whether m completed the
+// stream. Every error is the party's own framing at fault.
+func (s *uplinkStream) accept(m UpdateChunkMsg, codec byte, data []float64) (last bool, err error) {
+	id := s.id
+	switch {
+	case s.sawFrame && codec != s.codec:
+		// The wire codec is a stream-level property: a party that switches
+		// encodings mid-stream is framing garbage, exactly like a
+		// mid-stream header change.
+		err = fmt.Errorf("simnet: party %d switched wire codec %s -> %s mid-stream",
+			id, codecName(s.codec), codecName(codec))
+	case m.Round != s.round:
+		err = fmt.Errorf("simnet: party %d sent a frame for round %d, expected %d", id, m.Round, s.round)
+	case m.Total != s.total:
+		err = fmt.Errorf("simnet: party %d declared stream length %d, expected %d", id, m.Total, s.total)
+	case m.N != s.meta.N || m.Tau != s.meta.Tau:
+		// Checked on every frame — this is why the trailer metadata
+		// repeats — so a mismatched update is refused on its first frame,
+		// not after its whole stream was staged.
+		err = fmt.Errorf("simnet: party %d frame meta (n=%d tau=%d) does not match expected (n=%d tau=%d)",
+			id, m.N, m.Tau, s.meta.N, s.meta.Tau)
+	case len(m.Chunk) > s.bound:
+		// The negotiated chunk size is the memory contract: a frame above
+		// it (up to one whole state vector) would reintroduce the
+		// O(conns x state) buffering chunking exists to bound.
+		err = fmt.Errorf("simnet: party %d sent a %d-element frame, chunk size is %d", id, len(m.Chunk), s.bound)
+	case m.Offset != s.done:
+		err = fmt.Errorf("simnet: party %d sent frame offset %d, expected %d", id, m.Offset, s.done)
+	case m.Offset+len(m.Chunk) > s.total:
+		err = fmt.Errorf("simnet: party %d frame [%d,%d) overflows stream length %d", id, m.Offset, m.Offset+len(m.Chunk), s.total)
+	case m.Last != (m.Offset+len(m.Chunk) == s.total):
+		err = fmt.Errorf("simnet: party %d frame [%d,%d) of %d has inconsistent last marker", id, m.Offset, m.Offset+len(m.Chunk), s.total)
+	case len(m.Chunk) == 0 && !m.Last:
+		// An honest stream never frames zero elements mid-stream;
+		// accepting one would let a party occupy its slot forever without
+		// progressing its offset.
+		err = fmt.Errorf("simnet: party %d sent an empty non-final frame at offset %d", id, m.Offset)
+	}
+	if err != nil {
+		return false, err
+	}
+	s.codec, s.sawFrame = codec, true
+	copy(data[s.done:], m.Chunk)
+	s.done += len(m.Chunk)
+	return m.Last, nil
 }
 
 // applyControlDelta advances the party's tracked SCAFFOLD control variate
@@ -1946,32 +1785,6 @@ func (f *Federation) applyControlDelta(id int, delta []float64) {
 		c[k] += d
 	}
 	f.memMu.Unlock()
-}
-
-// recvUpdate reads and validates one round reply from a party.
-func (f *Federation) recvUpdate(id, round int) (fl.Update, error) {
-	if f.RoundTimeout > 0 {
-		_ = f.byParty[id].SetReadDeadline(time.Now().Add(f.RoundTimeout))
-	}
-	raw, err := f.byParty[id].Recv()
-	if err != nil {
-		return fl.Update{}, fmt.Errorf("simnet: recv from party %d: %w", id, err)
-	}
-	decoded, err := Unmarshal(raw)
-	if err != nil {
-		return fl.Update{}, err
-	}
-	um, ok := decoded.(UpdateMsg)
-	if !ok {
-		return fl.Update{}, fmt.Errorf("simnet: unexpected reply %T from party %d", decoded, id)
-	}
-	if um.Round != round {
-		return fl.Update{}, fmt.Errorf("simnet: party %d replied for round %d during round %d", id, um.Round, round)
-	}
-	return fl.Update{
-		Delta: um.Delta, Tau: um.Tau, N: um.N,
-		DeltaC: um.DeltaC, TrainLoss: um.TrainLoss,
-	}, nil
 }
 
 // RoundBytes reports the bytes moved since the previous call, so the

@@ -17,9 +17,11 @@ func FuzzDecodeMsg(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	seed(GlobalMsg{Round: 3, State: []float64{1, -2, 0.5}, Control: []float64{4}, Budget: 2, Chunk: 64})
 	seed(HelloMsg{ID: 1, N: 100, Token: "tok", LabelDist: []float64{0.5, 0.5}})
-	seed(UpdateMsg{Round: 1, N: 10, Tau: 3, TrainLoss: 0.25, Delta: []float64{1, 2}, DeltaC: []float64{3}})
+	// Retired whole-message tags (GlobalMsg 1, UpdateMsg 2): a pre-v5
+	// frame must decode as an unknown tag, never as another message.
+	f.Add([]byte{1, 3, 0, 0, 0, 2, 0, 0, 0, 64, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F, 0, 0, 0, 0})
+	f.Add([]byte{2, 1, 0, 0, 0, 10, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xD0, 0x3F, 0, 0, 0, 0, 0, 0, 0, 0})
 	seed(UpdateChunkMsg{Round: 2, Offset: 37, Total: 74, N: 10, Tau: 3, Last: true,
 		TrainLoss: 0.5, Chunk: []float64{1, 2, 3}})
 	seed(GlobalChunkMsg{Round: 2, Offset: 5, Total: 12, CtrlLen: 4, Budget: 1,
@@ -45,11 +47,13 @@ func FuzzDecodeMsg(f *testing.F) {
 	f.Add([]byte{msgResync})
 	f.Add([]byte{msgResync, 0xFF, 0xFF, 0xFF, 0xFF})
 	// Hello version-preamble soup: a future version still offering an
-	// overlapping range (admitted), a disjoint range (decodes to a
-	// VersionError, never a misaligned field read), a wrong magic, and
-	// preambles truncated at every byte — including inside the v3 range.
+	// overlapping range (admitted), a disjoint range and a pre-v5 peer
+	// (both decode to a VersionError, never a misaligned field read), a
+	// wrong magic, and preambles truncated at every byte — including
+	// inside the version range.
 	seed(HelloMsg{ID: 1, N: 100, Version: 99})
 	seed(HelloMsg{ID: 3, N: 7, Version: ProtoVersion, MinVersion: MinProtoVersion, LabelDist: []float64{1}})
+	seed(HelloMsg{ID: 3, N: 7, Version: MinProtoVersion - 1, MinVersion: 2, LabelDist: []float64{1}})
 	f.Add([]byte{msgHello, protoMagic, ProtoVersion + 2, ProtoVersion + 1, 0})
 	f.Add([]byte{msgHello})
 	f.Add([]byte{msgHello, protoMagic})
@@ -75,21 +79,22 @@ func FuzzDecodeMsg(f *testing.F) {
 			}
 		}
 	}
-	seedTruncations(GlobalMsg{Round: 9, State: []float64{1, 2, 3, 4}, Control: []float64{-1}, Budget: 1, Chunk: 32})
-	seedTruncations(UpdateMsg{Round: 2, N: 5, Tau: 2, TrainLoss: 1.5, Delta: []float64{9, 8, 7}, DeltaC: []float64{6}})
+	seedTruncations(HelloMsg{ID: 5, N: 9, Token: "tk", Rejoin: true, LabelDist: []float64{0.5, 0.5}})
+	seedTruncations(UpdateChunkMsg{Round: 2, Offset: 3, Total: 6, N: 5, Tau: 2, Last: true,
+		TrainLoss: 1.5, Chunk: []float64{9, 8, 7}})
 	seedTruncations(GlobalChunkMsg{Round: 1, Offset: 0, Total: 3, CtrlLen: 1, Budget: 1, Chunk: 2, Payload: []float64{5}})
 	seedTruncations(UpdateChunkQMsg{Round: 1, Offset: 0, Total: 3, N: 5, Tau: 2, Last: true,
 		TrainLoss: 0.5, Codec: wireCodecInt8, Count: 3, Scale: 0.5, Payload: []byte{1, 2, 3}})
 	seedTruncations(GlobalChunkQMsg{Round: 1, Offset: 0, Total: 3, CtrlLen: 1, Budget: 1,
 		Chunk: 2, Last: true, Codec: wireCodecInt4, Count: 3, Scale: 0.25, Payload: []byte{0x12, 0x03}})
-	// A v4 hello truncated right before its codec mask must surface as a
-	// version/truncation error, never a misaligned read of later fields.
+	// A hello truncated right before its rejoin flag must surface as a
+	// truncation error, never a misaligned read of later fields.
 	f.Add([]byte{msgHello, protoMagic, ProtoVersion, MinProtoVersion, 0x0F})
-	// Hostile length prefixes: a GlobalMsg header whose state-length word
-	// claims ~1G elements with no payload behind it, and the same for the
-	// control vector. The decoder must refuse these before allocating.
-	f.Add([]byte{msgGlobal, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x3F})
-	f.Add([]byte{msgGlobal, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x3F, 0xF0, 0xFF, 0xFF, 0xFF, 0x3F})
+	// Hostile length prefixes: a GlobalChunkMsg and an UpdateChunkMsg
+	// whose payload-length word claims ~1G elements with nothing behind
+	// it. The decoder must refuse these before allocating.
+	f.Add([]byte{msgGlobalChunk, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x40, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0x3F})
+	f.Add([]byte{msgUpdateChunk, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x40, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x3F})
 	// Trailing garbage after a complete frame must not decode silently.
 	if b, err := Marshal(ShutdownMsg{}); err == nil {
 		f.Add(append(b, 0xDE, 0xAD))
@@ -106,11 +111,6 @@ func FuzzDecodeMsg(f *testing.F) {
 		if m, err := UnmarshalChunkInto(raw, small[:]); err == nil {
 			if m.Chunk != nil && len(m.Chunk) <= len(small) && &m.Chunk[0] != &small[0] {
 				t.Fatal("small payload did not land in the caller's buffer")
-			}
-		}
-		if m, err := UnmarshalGlobalChunkInto(raw, small[:]); err == nil {
-			if m.Payload != nil && len(m.Payload) <= len(small) && &m.Payload[0] != &small[0] {
-				t.Fatal("small downlink payload did not land in the caller's buffer")
 			}
 		}
 		// The codec-dispatching decoders must uphold the same invariants

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -66,22 +67,26 @@ func TestCodecVersionedHello(t *testing.T) {
 }
 
 // TestCodecVersionRangeMatrix sweeps hello version ranges across the
-// admission boundary: overlap admits (recording the negotiated version),
-// no overlap rejects with a typed VersionError naming the peer's range.
+// admission boundary: overlap with [MinProtoVersion, ProtoVersion] (both
+// 5) admits, no overlap rejects with a typed VersionError naming the
+// peer's range — including every pre-v5 peer, which may still send the
+// retired whole-message frames.
 func TestCodecVersionRangeMatrix(t *testing.T) {
+	if ProtoVersion != 5 || MinProtoVersion != 5 {
+		t.Fatalf("protocol range [%d,%d], want [5,5]", MinProtoVersion, ProtoVersion)
+	}
 	cases := []struct {
-		name       string
-		v, minv    byte
-		admit      bool
-		negotiated byte
+		name    string
+		v, minv byte
+		admit   bool
 	}{
-		{"same generation", ProtoVersion, MinProtoVersion, true, ProtoVersion},
-		{"one generation behind (pre-range layout)", ProtoVersion - 1, ProtoVersion - 1, true, ProtoVersion - 1},
-		{"future peer still speaking ours", ProtoVersion + 2, MinProtoVersion, true, ProtoVersion},
-		{"future peer, overlap at our max", ProtoVersion + 5, ProtoVersion, true, ProtoVersion},
-		{"future peer, no overlap", ProtoVersion + 2, ProtoVersion + 1, false, 0},
-		{"ancient peer", MinProtoVersion - 1, MinProtoVersion - 1, false, 0},
-		{"inverted range", ProtoVersion, ProtoVersion + 7, false, 0},
+		{"same generation", ProtoVersion, MinProtoVersion, true},
+		{"one generation behind (pre-v5 peer)", ProtoVersion - 1, 2, false},
+		{"future peer still speaking ours", ProtoVersion + 2, MinProtoVersion, true},
+		{"future peer, overlap at our max", ProtoVersion + 5, ProtoVersion, true},
+		{"future peer, no overlap", ProtoVersion + 2, ProtoVersion + 1, false},
+		{"ancient peer", 2, 2, false},
+		{"inverted range", ProtoVersion, ProtoVersion + 7, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,11 +109,8 @@ func TestCodecVersionRangeMatrix(t *testing.T) {
 				t.Fatalf("range [%d,%d] rejected: %v", tc.minv, tc.v, err)
 			}
 			h := out.(HelloMsg)
-			if h.Version != tc.v {
-				t.Fatalf("decoded version %d, want %d", h.Version, tc.v)
-			}
-			if got := NegotiatedVersion(h.Version); got != tc.negotiated {
-				t.Fatalf("negotiated %d, want %d", got, tc.negotiated)
+			if h.Version != tc.v || h.MinVersion != tc.minv {
+				t.Fatalf("decoded range [%d,%d], want [%d,%d]", h.MinVersion, h.Version, tc.minv, tc.v)
 			}
 		})
 	}
@@ -136,20 +138,20 @@ func TestCodecRoundTripGlobalChunk(t *testing.T) {
 			t.Fatalf("truncation at %d/%d decoded successfully", cut, len(b))
 		}
 	}
-	// The pooled/in-place decode path must land in the caller's buffer.
+	// The party's in-place decode path must land in the caller's buffer.
 	buf := make([]float64, 8)
-	got2, err := UnmarshalGlobalChunkInto(b, buf)
+	got2, codec, err := decodeGlobalFrameInto(b, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &got2.Payload[0] != &buf[0] {
-		t.Fatal("UnmarshalGlobalChunkInto did not reuse the caller's buffer")
+	if &got2.Payload[0] != &buf[0] || codec != wireCodecF64 {
+		t.Fatal("decodeGlobalFrameInto did not reuse the caller's buffer")
 	}
 	if got2.Payload[2] != 3 {
 		t.Fatalf("pooled decode: %+v", got2)
 	}
-	if _, err := UnmarshalGlobalChunkInto([]byte{msgGlobal, 0}, buf); err == nil {
-		t.Fatal("UnmarshalGlobalChunkInto should reject non-chunk messages")
+	if _, _, err := decodeGlobalFrameInto([]byte{msgUpdateChunk, 0}, buf); err == nil {
+		t.Fatal("decodeGlobalFrameInto should reject non-downlink messages")
 	}
 }
 
@@ -449,12 +451,11 @@ func runChunkedTCP(t *testing.T, cfg fl.Config, locals []*data.Dataset, test *da
 	return sr.res
 }
 
-// TestChunkedDownlinkParityAcrossChunkSizes pins the chunked broadcast
-// bitwise against the monolithic downlink: the same SCAFFOLD federation
-// (two-vector downlink — state plus server control, so frames meet the
-// state/control seam) runs once with whole-message framing over
-// in-process pipes and then chunked over jittered TCP at three chunk
-// sizes — a tiny odd size, a size that splits the state mid-vector with a
+// TestChunkedDownlinkParityAcrossChunkSizes pins chunk-size parity of
+// the broadcast: the same SCAFFOLD federation (two-vector downlink —
+// state plus server control, so frames meet the state/control seam) runs
+// once at ChunkSize 0 (each vector one frame) over in-process pipes and
+// then over jittered TCP at three chunk sizes — a tiny odd size, a size that splits the state mid-vector with a
 // short seam frame, and one bigger than the whole stream (single-frame
 // degenerate case). Every final state must match the reference bit for
 // bit.
@@ -464,7 +465,7 @@ func TestChunkedDownlinkParityAcrossChunkSizes(t *testing.T) {
 	cfg.Rounds = 2
 	spec, _ := data.Model("adult")
 
-	ref, err := RunLocal(cfg, spec, locals, test) // ChunkSize 0: monolithic
+	ref, err := RunLocal(cfg, spec, locals, test) // ChunkSize 0: one frame per vector
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,16 +480,41 @@ func TestChunkedDownlinkParityAcrossChunkSizes(t *testing.T) {
 			}
 			for i := range ref.FinalState {
 				if got.FinalState[i] != ref.FinalState[i] {
-					t.Fatalf("state[%d]: chunked %v vs monolithic %v", i, got.FinalState[i], ref.FinalState[i])
+					t.Fatalf("state[%d]: chunk=%d %v vs chunk=0 %v", i, chunk, got.FinalState[i], ref.FinalState[i])
 				}
 			}
 			for r := range ref.Curve {
 				if got.Curve[r].TrainLoss != ref.Curve[r].TrainLoss {
-					t.Fatalf("round %d: loss chunked %v vs monolithic %v", r, got.Curve[r].TrainLoss, ref.Curve[r].TrainLoss)
+					t.Fatalf("round %d: loss chunk=%d %v vs chunk=0 %v", r, chunk, got.Curve[r].TrainLoss, ref.Curve[r].TrainLoss)
 				}
 			}
 		})
 	}
+}
+
+// feedDownlink runs the party's live downlink reader over a pipe fed the
+// given broadcast frames and returns its first event: the published
+// broadcast handle, or the terminal error. max is the model's stream
+// bound and free the reader's assembly-buffer free list.
+func feedDownlink(t *testing.T, max int, free chan []float64, frames ...GlobalChunkMsg) dlItem {
+	t.Helper()
+	server, party := Pipe()
+	r := newDownlinkReader(party, max, free, nil)
+	go r.loop()
+	t.Cleanup(func() {
+		r.stop()
+		_ = server.Close()
+	})
+	for _, fr := range frames {
+		b, err := Marshal(fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := server.Send(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return <-r.ready
 }
 
 // TestDownlinkTotalBounded pins the party side of the memory contract:
@@ -496,35 +522,77 @@ func TestChunkedDownlinkParityAcrossChunkSizes(t *testing.T) {
 // declaring an absurd stream length must be rejected before anything is
 // allocated — the model's own state+param length is the bound.
 func TestDownlinkTotalBounded(t *testing.T) {
-	conn, _ := Pipe()
-	var buf []float64
-	_, err := recvGlobalChunked(conn, GlobalChunkMsg{Total: 1 << 30, Chunk: 8}, &buf, 100)
-	if err == nil {
-		t.Fatal("oversized downlink Total declaration was accepted")
+	// Sizing the buffer from this Total would allocate 8 GiB; the
+	// reader's whole allocation for the rejected stream must stay tiny.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	it := feedDownlink(t, 100, make(chan []float64, 1), GlobalChunkMsg{Total: 1 << 30, Chunk: 8, Payload: []float64{1}})
+	runtime.ReadMemStats(&after)
+	if it.err == nil || !strings.Contains(it.err.Error(), "exceeds this model's bound") {
+		t.Fatalf("oversized downlink Total declaration: %+v", it)
 	}
-	if cap(buf) != 0 {
-		t.Fatalf("assembly buffer allocated %d elements for a rejected declaration", cap(buf))
+	if it.g != nil {
+		t.Fatal("a broadcast handle was published for a rejected declaration")
 	}
-	// A declaration at the bound still assembles normally.
-	g, err := recvGlobalChunked(conn, GlobalChunkMsg{Total: 3, Chunk: 8, Last: true,
-		Payload: []float64{1, 2, 3}}, &buf, 3)
-	if err != nil {
-		t.Fatal(err)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("rejecting the declaration allocated %d bytes", grew)
 	}
-	if len(g.State) != 3 || g.State[2] != 3 {
-		t.Fatalf("in-bound stream: %+v", g)
+	// A declaration at the bound still assembles normally, in place.
+	it = feedDownlink(t, 3, make(chan []float64, 1), GlobalChunkMsg{Total: 3, Chunk: 8, Last: true,
+		Payload: []float64{1, 2, 3}})
+	if it.err != nil || it.g == nil {
+		t.Fatalf("in-bound stream: %+v", it)
 	}
+	if !it.g.WaitAll() || len(it.g.State()) != 3 || it.g.State()[2] != 3 {
+		t.Fatalf("in-bound stream assembled %v", it.g.State())
+	}
+	it.g.Release()
 }
 
 // TestDownlinkEmptyFrameRejected pins the no-spin rule on the party
 // side: an empty frame that is not the stream's last makes no progress
-// and must be rejected, not looped on.
+// and must be rejected, not looped on — as the first frame, before any
+// handle is published, and mid-stream, where the published handle fails.
 func TestDownlinkEmptyFrameRejected(t *testing.T) {
-	conn, _ := Pipe()
-	var buf []float64
-	_, err := recvGlobalChunked(conn, GlobalChunkMsg{Total: 4, Chunk: 2}, &buf, 10)
-	if err == nil || !strings.Contains(err.Error(), "empty non-final") {
-		t.Fatalf("empty non-final downlink frame: %v", err)
+	it := feedDownlink(t, 10, make(chan []float64, 1), GlobalChunkMsg{Total: 4, Chunk: 2})
+	if it.err == nil || !strings.Contains(it.err.Error(), "empty non-final") || it.g != nil {
+		t.Fatalf("empty non-final first downlink frame: %+v", it)
+	}
+	free := make(chan []float64, 1)
+	server, party := Pipe()
+	r := newDownlinkReader(party, 10, free, nil)
+	go r.loop()
+	defer func() {
+		r.stop()
+		_ = server.Close()
+	}()
+	for _, fr := range []GlobalChunkMsg{
+		{Total: 4, Chunk: 2, Payload: []float64{1, 2}},
+		{Offset: 2, Total: 4, Chunk: 2},
+	} {
+		b, err := Marshal(fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := server.Send(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Read the queue directly: next() would conflate the published
+	// handle away behind the terminal error.
+	first := <-r.ready
+	if first.g == nil {
+		t.Fatalf("first frame did not publish a handle: %+v", first)
+	}
+	if first.g.WaitAll() {
+		t.Fatal("a stream stalled on an empty frame reported complete")
+	}
+	if err := first.g.Err(); err == nil || !strings.Contains(err.Error(), "empty non-final") {
+		t.Fatalf("stalled stream error: %v", err)
+	}
+	first.g.Release()
+	if term := <-r.ready; term.err == nil || !strings.Contains(term.err.Error(), "empty non-final") {
+		t.Fatalf("reader terminal event: %+v", term)
 	}
 }
 

@@ -3,7 +3,6 @@ package simnet
 import (
 	"encoding/hex"
 	"math"
-	"sync"
 	"testing"
 
 	"github.com/niid-bench/niidbench/internal/data"
@@ -244,9 +243,11 @@ func assertQuantClose(t *testing.T, label string, want, got []float64, codec byt
 }
 
 // TestRawWireBitwisePin freezes the exact byte encodings of the raw f64
-// frames against hex literals captured before the quantized codec landed:
-// codec=f64 must stay byte-identical to the pre-codec wire, so a mixed
-// fleet of old and new builds interoperates frame for frame.
+// chunk frames against hex literals captured before the quantized codec
+// landed — codec=f64 must stay byte-identical to the pre-codec wire, which
+// is what keeps measured bytes per round comparable across versions — and
+// of the version-5 hello as this build stamps it (magic, version range
+// [5,5], full codec mask, rejoin flag).
 func TestRawWireBitwisePin(t *testing.T) {
 	cases := []struct {
 		msg  any
@@ -258,10 +259,8 @@ func TestRawWireBitwisePin(t *testing.T) {
 		{GlobalChunkMsg{Round: 7, Offset: 0, Total: 3, CtrlLen: 1, Budget: 2,
 			Chunk: 4, Last: true, Payload: []float64{0.5, -1, 8}},
 			"060700000000000000030000000100000002000000040000000103000000000000000000e03f000000000000f0bf0000000000002040"},
-		{GlobalMsg{Round: 1, State: []float64{1, -0.5}, Control: []float64{2}, Budget: 1, Chunk: 0},
-			"0101000000010000000000000002000000000000000000f03f000000000000e0bf010000000000000000000040"},
-		{UpdateMsg{Round: 2, N: 6, Tau: 3, TrainLoss: 0.75, Delta: []float64{-4, 0.125}, DeltaC: []float64{1}},
-			"02020000000600000003000000000000000000e83f0200000000000000000010c0000000000000c03f01000000000000000000f03f"},
+		{HelloMsg{ID: 4, N: 321, Token: "tok", LabelDist: []float64{0.25, 0.75}, Rejoin: true},
+			"04f705050f01040000004101000003000000746f6b02000000000000000000d03f000000000000e83f"},
 	}
 	for _, tc := range cases {
 		b, err := Marshal(tc.msg)
@@ -285,9 +284,10 @@ func TestRawWireBitwisePin(t *testing.T) {
 }
 
 // TestNegotiatedCodecVersionSkew pins the hello negotiation table: the
-// configured codec applies only when the peer speaks v4+ AND advertises
-// the codec bit; everything else — v2/v3 peers, masks missing the bit, or
-// an f64 configuration — rides the raw float64 wire.
+// configured codec applies only when the peer's codec mask advertises
+// its bit; masks missing the bit, or an f64 configuration, ride the raw
+// float64 wire. The peer's version plays no part: admission already
+// required an overlap with v5, whose hello always carries the mask.
 func TestNegotiatedCodecVersionSkew(t *testing.T) {
 	fed := func(c fl.Codec) *Federation { return &Federation{Cfg: fl.Config{Codec: c}} }
 	cases := []struct {
@@ -298,12 +298,12 @@ func TestNegotiatedCodecVersionSkew(t *testing.T) {
 	}{
 		{"f64 config ignores mask", fl.CodecF64, HelloMsg{Version: ProtoVersion, Codecs: codecSupportMask}, wireCodecF64},
 		{"empty config is f64", "", HelloMsg{Version: ProtoVersion, Codecs: codecSupportMask}, wireCodecF64},
-		{"v4 peer with bit", fl.CodecInt8, HelloMsg{Version: ProtoVersion, Codecs: codecSupportMask}, wireCodecInt8},
-		{"v3 peer falls back", fl.CodecInt8, HelloMsg{Version: 3}, wireCodecF64},
-		{"v2 peer falls back", fl.CodecInt4, HelloMsg{Version: 2}, wireCodecF64},
+		{"v5 peer with bit", fl.CodecInt8, HelloMsg{Version: ProtoVersion, Codecs: codecSupportMask}, wireCodecInt8},
+		{"v5 peer, int8-only mask", fl.CodecInt8, HelloMsg{Version: ProtoVersion, Codecs: 1 << wireCodecInt8}, wireCodecInt8},
+		{"empty mask falls back", fl.CodecInt4, HelloMsg{Version: ProtoVersion}, wireCodecF64},
 		{"future peer with bit", fl.CodecF32, HelloMsg{Version: ProtoVersion + 3, Codecs: codecSupportMask}, wireCodecF32},
-		{"v4 peer missing bit", fl.CodecInt4, HelloMsg{Version: ProtoVersion, Codecs: 1 << wireCodecInt8}, wireCodecF64},
-		{"v4 peer f64-only mask", fl.CodecF32, HelloMsg{Version: ProtoVersion, Codecs: 1 << wireCodecF64}, wireCodecF64},
+		{"v5 peer missing bit", fl.CodecInt4, HelloMsg{Version: ProtoVersion, Codecs: 1 << wireCodecInt8}, wireCodecF64},
+		{"v5 peer f64-only mask", fl.CodecF32, HelloMsg{Version: ProtoVersion, Codecs: 1 << wireCodecF64}, wireCodecF64},
 	}
 	for _, tc := range cases {
 		if got := fed(tc.cfg).negotiatedCodec(tc.hello); got != tc.want {
@@ -353,145 +353,5 @@ func TestRunLocalQuantizedCodecs(t *testing.T) {
 					tc.codec, res.TotalCommBytes, base.TotalCommBytes, frac, tc.maxBytesFrac)
 			}
 		})
-	}
-}
-
-// TestVersionSkewPartyRidesRawWire is the mixed-fleet integration check:
-// a server configured for int8 serves one v4 party and one v3 party over
-// pipes. The v4 party must receive quantized downlink frames; the v3
-// party — which cannot advertise a codec mask — must be admitted anyway
-// and served the raw float64 wire (here the pipes' interned descriptor,
-// which only f64-negotiated parties are eligible for).
-func TestVersionSkewPartyRidesRawWire(t *testing.T) {
-	_, test, err := data.Load("adult", data.Config{TrainN: 60, TestN: 60, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fl.Config{
-		Algorithm: fl.FedAvg, Rounds: 1, LocalEpochs: 1, BatchSize: 32,
-		LR: 0.05, Seed: 5, ChunkSize: 64, Codec: fl.CodecInt8,
-	}
-	cfg, err = cfg.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, _ := data.Model("adult")
-
-	const parties = 2
-	const partyN = 100
-	tau := fl.PredictTau(cfg, partyN)
-	conns := make([]*CountingConn, parties)
-	sawQ := make([]bool, parties)
-	sawRaw := make([]bool, parties)
-	var wg sync.WaitGroup
-	for i := 0; i < parties; i++ {
-		serverSide, partySide := Pipe()
-		conns[i] = NewCountingConn(serverSide)
-		hello := HelloMsg{ID: i, N: partyN, LabelDist: []float64{0.5, 0.5}}
-		if i == 1 {
-			// Party 1 impersonates an old build: v3 hello, no codec mask.
-			hello.Version = 3
-			hello.MinVersion = 2
-		}
-		wg.Add(1)
-		go func(i int, conn Conn, hello HelloMsg) {
-			defer wg.Done()
-			hb, err := Marshal(hello)
-			if err != nil {
-				t.Errorf("party %d hello marshal: %v", i, err)
-				return
-			}
-			if err := conn.Send(hb); err != nil {
-				t.Errorf("party %d hello: %v", i, err)
-				return
-			}
-			var round, total int
-			for {
-				raw, err := conn.Recv()
-				if err != nil {
-					t.Errorf("party %d downlink: %v", i, err)
-					return
-				}
-				if len(raw) > 0 && (raw[0] == msgGlobalChunk || raw[0] == msgGlobalChunkQ) {
-					if raw[0] == msgGlobalChunkQ {
-						sawQ[i] = true
-					} else {
-						sawRaw[i] = true
-					}
-					m, _, err := decodeGlobalFrameInto(raw, nil)
-					if err != nil {
-						t.Errorf("party %d downlink frame: %v", i, err)
-						return
-					}
-					round, total = m.Round, m.Total
-					if m.Last {
-						break
-					}
-					continue
-				}
-				msg, err := Unmarshal(raw)
-				if err != nil {
-					t.Errorf("party %d downlink decode: %v", i, err)
-					return
-				}
-				ref, ok := msg.(GlobalRefMsg)
-				if !ok {
-					t.Errorf("party %d: unexpected downlink message %T", i, msg)
-					return
-				}
-				sawRaw[i] = true
-				g, err := takeGlobalRef(conn, ref)
-				if err != nil {
-					t.Errorf("party %d ref: %v", i, err)
-					return
-				}
-				round, total = g.Round, len(g.State)+len(g.Control)
-				break
-			}
-			// Reply with zero deltas on the raw wire — the server accepts
-			// either encoding on the uplink regardless of negotiation.
-			zero := make([]float64, cfg.ChunkSize)
-			for off := 0; off < total; off += cfg.ChunkSize {
-				chunk := zero
-				if off+len(chunk) > total {
-					chunk = zero[:total-off]
-				}
-				b, err := Marshal(UpdateChunkMsg{
-					Round: round, Offset: off, Total: total,
-					N: partyN, Tau: tau,
-					Last:  off+len(chunk) == total,
-					Chunk: chunk,
-				})
-				if err != nil {
-					t.Errorf("party %d frame marshal: %v", i, err)
-					return
-				}
-				if err := conn.Send(b); err != nil {
-					t.Errorf("party %d uplink: %v", i, err)
-					return
-				}
-			}
-			for {
-				if _, err := conn.Recv(); err != nil {
-					return
-				}
-			}
-		}(i, partySide, hello)
-	}
-
-	fed := &Federation{Cfg: cfg, Spec: cfg.ResolveSpec(spec), Test: test, conns: conns, local: true}
-	res, serveErr := fed.serve(parties)
-	wg.Wait()
-	if serveErr != nil {
-		t.Fatal(serveErr)
-	}
-	if len(res.Curve) != cfg.Rounds {
-		t.Fatalf("completed %d/%d rounds", len(res.Curve), cfg.Rounds)
-	}
-	if !sawQ[0] || sawRaw[0] {
-		t.Fatalf("v4 party: quantized=%v raw=%v, want the int8 wire", sawQ[0], sawRaw[0])
-	}
-	if sawQ[1] || !sawRaw[1] {
-		t.Fatalf("v3 party: quantized=%v raw=%v, want the raw f64 fallback", sawQ[1], sawRaw[1])
 	}
 }

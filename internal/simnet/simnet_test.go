@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -12,35 +14,78 @@ import (
 	"github.com/niid-bench/niidbench/internal/rng"
 )
 
+// TestCodecRoundTripGlobal round-trips an in-memory round broadcast
+// through the frame set the server sends for it and the party's
+// reassembly: at ChunkSize 0 (one frame per vector) and at a chunk size
+// that splits both vectors, the state/control split, round, budget and
+// chunk must come back exactly.
 func TestCodecRoundTripGlobal(t *testing.T) {
-	in := GlobalMsg{Round: 7, State: []float64{1.5, -2, 0}, Control: []float64{3}}
-	b, err := Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.(GlobalMsg)
-	if got.Round != 7 || len(got.State) != 3 || got.State[1] != -2 || got.Control[0] != 3 {
-		t.Fatalf("round trip: %+v", got)
+	in := GlobalMsg{Round: 7, State: []float64{1.5, -2, 0}, Control: []float64{3, 4}, Budget: 2}
+	for _, chunk := range []int{0, 2} {
+		in.Chunk = chunk
+		frames, err := encodeGlobalFrames(in, wireCodecF64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := globalFramesWireSize(len(in.State), len(in.Control), chunk); want != int64(len(bytes.Join(frames, nil))) {
+			t.Fatalf("chunk=%d: frame set is %d bytes, globalFramesWireSize says %d", chunk, len(bytes.Join(frames, nil)), want)
+		}
+		var got []float64
+		for i, raw := range frames {
+			m, codec, err := decodeGlobalFrameInto(raw, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Round != in.Round || m.Budget != in.Budget || m.Chunk != chunk || codec != wireCodecF64 ||
+				m.Offset != len(got) || m.CtrlLen != len(in.Control) || m.Last != (i == len(frames)-1) {
+				t.Fatalf("chunk=%d frame %d header: %+v", chunk, i, m)
+			}
+			got = append(got, m.Payload...)
+		}
+		want := append(append([]float64{}, in.State...), in.Control...)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("chunk=%d: reassembled %v, want %v", chunk, got, want)
+		}
 	}
 }
 
+// TestCodecRoundTripUpdate round-trips a party's update through the
+// uplink frames it encodes (appendUpdateFrame) and the server's stream
+// validation and assembly (uplinkStream), at ChunkSize 0 and at a chunk
+// size that splits both vectors.
 func TestCodecRoundTripUpdate(t *testing.T) {
-	in := UpdateMsg{Round: 3, N: 100, Tau: 17, TrainLoss: 0.25, Delta: []float64{1, 2}, DeltaC: nil}
-	b, err := Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.(UpdateMsg)
-	if got.N != 100 || got.Tau != 17 || got.TrainLoss != 0.25 || len(got.Delta) != 2 || got.DeltaC != nil {
-		t.Fatalf("round trip: %+v", got)
+	delta, deltaC := []float64{1, 2, -3}, []float64{0.5, 0.25}
+	total := len(delta) + len(deltaC)
+	for _, tc := range []struct{ chunk, frames int }{{0, 2}, {2, 3}} {
+		chunk := tc.chunk
+		s := uplinkStream{id: 1, round: 3, total: total, bound: frameBound(chunk, total), meta: fl.UpdateMeta{N: 100, Tau: 17}}
+		data := make([]float64, total)
+		var qbuf []byte
+		frames := 0
+		done := false
+		err := fl.ChunkStream(delta, deltaC, chunk, func(off int, c []float64) error {
+			b, err := appendUpdateFrame(nil, &qbuf, wireCodecF64, UpdateChunkMsg{Round: 3, Offset: off, Total: total,
+				N: 100, Tau: 17, TrainLoss: 0.25, Last: off+len(c) == total, Chunk: c})
+			if err != nil {
+				return err
+			}
+			m, codec, err := decodeUpdateFrameInto(b, nil)
+			if err != nil {
+				return err
+			}
+			frames++
+			done, err = s.accept(m, codec, data)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("chunk=%d: %v", chunk, err)
+		}
+		if !done || frames != tc.frames {
+			t.Fatalf("chunk=%d: stream done=%v after %d frames", chunk, done, frames)
+		}
+		if want := append(append([]float64{}, delta...), deltaC...); !reflect.DeepEqual(data, want) {
+			t.Fatalf("chunk=%d: assembled %v, want %v", chunk, data, want)
+		}
 	}
 }
 
@@ -59,8 +104,9 @@ func TestCodecShutdown(t *testing.T) {
 }
 
 func TestCodecPropertyRoundTrip(t *testing.T) {
-	err := quick.Check(func(round uint16, state []float64, ctrl []float64) bool {
-		in := GlobalMsg{Round: int(round), State: state, Control: ctrl}
+	err := quick.Check(func(round, offset uint16, payload []float64, last bool) bool {
+		in := GlobalChunkMsg{Round: int(round), Offset: int(offset), Total: int(offset) + len(payload),
+			Last: last, Payload: payload}
 		b, err := Marshal(in)
 		if err != nil {
 			return false
@@ -69,12 +115,13 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := out.(GlobalMsg)
-		if got.Round != int(round) || len(got.State) != len(state) || len(got.Control) != len(ctrl) {
+		got := out.(GlobalChunkMsg)
+		if got.Round != in.Round || got.Offset != in.Offset || got.Total != in.Total ||
+			got.Last != last || len(got.Payload) != len(payload) {
 			return false
 		}
-		for i := range state {
-			if state[i] != got.State[i] && !(math.IsNaN(state[i]) && math.IsNaN(got.State[i])) {
+		for i := range payload {
+			if math.Float64bits(payload[i]) != math.Float64bits(got.Payload[i]) {
 				return false
 			}
 		}
@@ -92,8 +139,15 @@ func TestCodecErrors(t *testing.T) {
 	if _, err := Unmarshal([]byte{99}); err == nil {
 		t.Fatal("expected error for unknown tag")
 	}
-	if _, err := Unmarshal([]byte{msgGlobal, 1, 2}); err == nil {
+	if _, err := Unmarshal([]byte{msgGlobalChunk, 1, 2}); err == nil {
 		t.Fatal("expected error for truncation")
+	}
+	// The retired whole-message tags (GlobalMsg 1, UpdateMsg 2) are
+	// unknown, not aliases of another frame.
+	for _, tag := range []byte{1, 2} {
+		if _, err := Unmarshal([]byte{tag, 0, 0, 0, 0}); err == nil {
+			t.Fatalf("retired tag %d decoded", tag)
+		}
 	}
 	if _, err := Marshal(42); err == nil {
 		t.Fatal("expected error for unsupported type")
@@ -306,8 +360,8 @@ func TestUnmarshalNeverPanicsOnGarbage(t *testing.T) {
 }
 
 func TestUnmarshalTruncationsOfValidMessage(t *testing.T) {
-	msg, err := Marshal(UpdateMsg{Round: 1, N: 5, Tau: 3, TrainLoss: 0.5,
-		Delta: []float64{1, 2, 3}, DeltaC: []float64{4}})
+	msg, err := Marshal(UpdateChunkMsg{Round: 1, Offset: 4, Total: 7, N: 5, Tau: 3, TrainLoss: 0.5,
+		Last: true, Chunk: []float64{1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
